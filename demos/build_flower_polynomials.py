@@ -2,7 +2,7 @@
 
 The n-petal flower polynomial relates the cosines of the n center angles of
 a ring of coins around a unit coin.  This script builds the small cases by
-the cheap conjugate-pair recursion, rebuilds them from their two slower
+the cheap norm-form recursion, rebuilds them from their two slower
 definitions, and exercises the structural identities that make the family
 trustworthy: square decomposition, symmetry, monic degree, specialization,
 and the general block recursion.

@@ -206,7 +206,11 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
 def _cmd_soddy_scan(args, stdout, stderr) -> int:
     if args.bound < 1 or args.bound > 64:
         raise UsageError(f"scan bound must be in 1..64, got {args.bound}")
-    result = soddy.scan_lattice(args.bound, workers=args.workers)
+    try:
+        workers = soddy.worker_count(args.workers)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    result = soddy.scan_lattice(args.bound, workers=workers)
     if args.format == "csv":
         buf = []
         writer = csv.writer(_ListWriter(buf))

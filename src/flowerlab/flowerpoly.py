@@ -4,7 +4,8 @@ For an n-petal flower (center coin tangent to a cycle of n petal coins) the
 cosines x_i of the n center angles satisfy a single polynomial relation.
 This module builds that polynomial three ways:
 
-* ``flower_poly(n)``           two-factor conjugate recursion (the cheap
+* ``flower_poly(n)``           norm-form recursion P^2 - Q^2*D from P_{n-1}
+                               in plain polynomial arithmetic (the cheap
                                route, used everywhere else in the package);
 * ``flower_poly_from_product`` product of (x_n - sigma(cos expansion)) over
                                the sign group on the first n-1 variables;
@@ -38,7 +39,7 @@ from .mixedring import (
     poly_at_mixed,
     sign_vectors,
 )
-from .ratpoly import Coeff, Exponents, SparsePoly
+from .ratpoly import Coeff, Exponents, SparsePoly, norm_form
 
 DEFAULT_MAX_N = 7
 
@@ -77,27 +78,35 @@ def _product(factors: Sequence[MixedElement]) -> MixedElement:
     return items[0]
 
 
-def _conjugate_pair_product(prev: SparsePoly, n: int) -> SparsePoly:
-    """prev(x_1..x_{n-2}, w) * prev(x_1..x_{n-2}, w~) expanded and reduced,
-    where w / w~ are the conjugate cos expansions of t_{n-1} + t_n."""
+def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
+    """prev(x_1..x_{n-2}, w) times its conjugate, where w = cos(t_{n-1}+t_n).
+
+    With c = x_{n-1}*x_n, s = y_{n-1}*y_n and D = s^2 = (1-x_{n-1}^2)(1-x_n^2),
+    the powers w^k = (c - s)^k = P_k + Q_k*s follow P_{k+1} = c*P_k - D*Q_k
+    and Q_{k+1} = c*Q_k - P_k.  So prev at w is a = P + Q*s, the sign
+    generator that negates s maps it to P - Q*s, and the product of the two
+    is the norm P^2 - Q^2*D: plain polynomial arithmetic, no sine variables.
+    """
     last = prev.nvars - 1
     groups: dict[int, dict[Exponents, Coeff]] = {}
     for exps, coeff in prev.items():
-        k = exps[last]
-        groups.setdefault(k, {})[exps[:last] + (0, 0)] = coeff
-    w = cos_sin_over_slots(n, (n - 2, n - 1))[0]
-    w_pow: dict[int, MixedElement] = {0: MixedElement.one(n)}
-    for k in range(1, max(groups) + 1):
-        w_pow[k] = w_pow[k - 1] * w
-    a = MixedElement.zero(n)
-    for k, terms in groups.items():
-        a = a + MixedElement(n, {(e, 0): c for e, c in terms.items()}) * w_pow[k]
-    b = apply_sign(SignVector.generator(n, n - 2), a)
-    return (a * b).to_poly()
+        groups.setdefault(exps[last], {})[exps[:last] + (0, 0)] = coeff
+    xa, xb = SparsePoly.variable(n, n - 2), SparsePoly.variable(n, n - 1)
+    c = xa * xb
+    d = (1 - xa * xa) * (1 - xb * xb)
+    p = q = SparsePoly.zero(n)
+    pk, qk = SparsePoly.one(n), SparsePoly.zero(n)
+    for k in range(max(groups) + 1):
+        if k:
+            pk, qk = c * pk - d * qk, c * qk - pk
+        if k in groups:
+            g = SparsePoly(n, groups[k])
+            p, q = p + g * pk, q + g * qk
+    return norm_form(p, q, d)
 
 
 def flower_poly(n: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
-    """The n-variable flower polynomial, by the conjugate-pair recursion.
+    """The n-variable flower polynomial, by the norm-form recursion.
 
     Monic of degree 2^(n-2) in each variable for n >= 2 and symmetric for
     n >= 3.  Term counts grow exponentially with n, so sizes beyond
@@ -118,7 +127,7 @@ def flower_poly(n: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
     elif n == 2:
         result = SparsePoly(2, {(0, 1): 1, (1, 0): -1})
     else:
-        result = _conjugate_pair_product(flower_poly(n - 1, max_n), n)
+        result = _norm_form_step(flower_poly(n - 1, max_n), n)
     _RECURSION_CACHE[n] = result
     return result
 

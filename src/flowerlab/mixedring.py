@@ -27,33 +27,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .ratpoly import Coeff, Exponents, SparsePoly, normalize_coeff
+from .ratpoly import (
+    Coeff,
+    Exponents,
+    SparsePoly,
+    normalize_coeff,
+    pack_exponents,
+    pack_width,
+    parse_rational,
+    unpack_exponents,
+)
 
 MixedKey = tuple[Exponents, int]  # (x exponents, y-support bitmask)
-
-# (1 - x_i^2) expansion data per support mask, shared across elements:
-# mask -> list of (exponent delta applied to the x part, sign).
-_REDUCTION_CACHE: dict[tuple[int, int], list[tuple[Exponents, int]]] = {}
-
-
-def _reduction_terms(nvars: int, mask: int) -> list[tuple[Exponents, int]]:
-    """Expansion of prod_{i in mask} (1 - x_i^2) as (delta, sign) pairs."""
-    cached = _REDUCTION_CACHE.get((nvars, mask))
-    if cached is not None:
-        return cached
-    slots = [i for i in range(nvars) if mask >> i & 1]
-    out: list[tuple[Exponents, int]] = []
-    for chosen in product((0, 1), repeat=len(slots)):
-        delta = [0] * nvars
-        sign = 1
-        for slot, used in zip(slots, chosen):
-            if used:
-                delta[slot] = 2
-                sign = -sign
-        out.append((tuple(delta), sign))
-    _REDUCTION_CACHE[(nvars, mask)] = out
-    return out
-
 
 class MixedElement:
     """Immutable element of the quotient ring; y-exponents are 0 or 1."""
@@ -137,10 +122,6 @@ class MixedElement:
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self._terms.items())))
-
-    def is_pure(self) -> bool:
-        """True when no term carries a y variable."""
-        return all(ybits == 0 for _, ybits in self._terms)
 
     def to_poly(self) -> SparsePoly:
         """Extract as a plain polynomial; error if any y survives."""
@@ -234,35 +215,58 @@ class MixedElement:
         if not isinstance(other, MixedElement):
             return NotImplemented
         self._check_arity(other)
+        # Packed key: the x exponents packed as in SparsePoly, shifted above
+        # the y bitmask.  Two keys then add to the key of the product before
+        # y_i^2 reduction; for a common mask m, subtracting 2*m clears the
+        # doubled y bits and each term of prod_{i in m} (1 - x_i^2) adds a
+        # packed delta to the x part.  Widths allow for those extra x^2.
         nvars = self.nvars
-        out: dict[MixedKey, Coeff] = {}
-        get = out.get
-        pop = out.pop
-        items_b = list(other._terms.items())
-        for (ea, sa), ca in self._terms.items():
-            for (eb, sb), cb in items_b:
-                c = ca * cb
+        ymask = (1 << nvars) - 1
+        bits = pack_width(self._max_exponent() + other._max_exponent() + 2)
+        a = self._packed(bits)
+        groups: dict[int, list[tuple[int, Coeff]]] = {}
+        for k, c in other._packed(bits):
+            groups.setdefault(k & ymask, []).append((k, c))
+        reductions = {}
+        for sa in {k & ymask for k, _ in a}:
+            for sb in groups:
                 common = sa & sb
-                exps = tuple(map(int.__add__, ea, eb))
-                if common:
-                    support = sa ^ sb
-                    for delta, sign in _reduction_terms(nvars, common):
-                        key = (tuple(map(int.__add__, exps, delta)), support)
-                        new = get(key, 0) + (c if sign > 0 else -c)
-                        if new == 0:
-                            pop(key, None)
-                        else:
-                            out[key] = new
-                else:
-                    key = (exps, sa | sb)
-                    new = get(key, 0) + c
-                    if new == 0:
-                        pop(key, None)
-                    else:
-                        out[key] = new
-        for key, val in out.items():
-            out[key] = normalize_coeff(val)
+                if common and common not in reductions:
+                    reductions[common] = _reduction_offsets(nvars, bits, common)
+        acc: dict[int, Coeff] = {}
+        get = acc.get
+        for ka, ca in a:
+            sa = ka & ymask
+            for sb, group in groups.items():
+                common = sa & sb
+                if not common:
+                    for kb, cb in group:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+                    continue
+                plus, minus = reductions[common]
+                for kb, cb in group:
+                    k0 = ka + kb
+                    c = ca * cb
+                    for off in plus:
+                        k = k0 + off
+                        acc[k] = get(k, 0) + c
+                    for off in minus:
+                        k = k0 + off
+                        acc[k] = get(k, 0) - c
+        out: dict[MixedKey, Coeff] = {}
+        for k, c in acc.items():
+            if c:
+                out[(unpack_exponents(k >> nvars, nvars, bits), k & ymask)] = normalize_coeff(c)
         return MixedElement._raw(nvars, out)
+
+    def _max_exponent(self) -> int:
+        return max((max(e) for e, _ in self._terms), default=0)
+
+    def _packed(self, bits: int) -> list[tuple[int, Coeff]]:
+        nvars = self.nvars
+        return [((pack_exponents(e, bits) << nvars) | ybits, c)
+                for (e, ybits), c in self._terms.items()]
 
     def __rmul__(self, other) -> "MixedElement":
         return self.__mul__(other)
@@ -280,6 +284,19 @@ class MixedElement:
             if k:
                 base = base * base
         return result
+
+
+def _reduction_offsets(nvars: int, bits: int, mask: int) -> tuple[list[int], list[int]]:
+    """Packed-key offsets for the product of two terms sharing the y mask
+    ``mask``: clear the doubled y bits and add each term of
+    prod_{i in mask} (1 - x_i^2), split by the sign of that term."""
+    offsets = [(-2 * mask, 1)]
+    for i in range(nvars):
+        if mask >> i & 1:
+            x2 = 2 << ((nvars - 1 - i) * bits + nvars)
+            offsets += [(off + x2, -sign) for off, sign in offsets]
+    return ([off for off, sign in offsets if sign > 0],
+            [off for off, sign in offsets if sign < 0])
 
 
 # -- sign automorphisms --------------------------------------------------------
@@ -321,14 +338,6 @@ class SignVector:
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
         return SignVector(self.nvars, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def term_sign(self, ybits: int) -> int:
-        """Sign picked up by a term with the given y-support."""
-        sign = 1
-        for i, on in enumerate(self.bits):
-            if on and (ybits & ((1 << (i + 1)) - 1)).bit_count() & 1:
-                sign = -sign
-        return sign
 
 
 def sign_vectors(nvars: int) -> Iterator[SignVector]:
@@ -479,16 +488,26 @@ def mixed_to_obj(element: MixedElement) -> dict:
 
 
 def mixed_from_obj(obj: Mapping) -> MixedElement:
-    names = obj["vars"]
-    nvars = len(names)
+    try:
+        nvars = len(obj["vars"])
+        raw_terms = obj["terms"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("mixed element object needs 'vars' and 'terms'") from exc
     terms: dict[MixedKey, Coeff] = {}
-    for entry in obj["terms"]:
-        exps = tuple(int(e) for e in entry["e"])
+    for entry in raw_terms:
+        try:
+            text, raw_exps, raw_ys = entry["c"], entry["e"], entry.get("ys", [])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"mixed term needs 'c' and 'e': {entry!r}") from exc
+        coeff = parse_rational(str(text))
+        exps = tuple(int(e) for e in raw_exps)
         ybits = 0
-        for i in entry.get("ys", []):
+        for i in raw_ys:
+            if not 1 <= int(i) <= nvars:
+                raise ValueError(f"sine index {i} out of range 1..{nvars}")
             ybits |= 1 << (int(i) - 1)
         key = (exps, ybits)
         if key in terms:
             raise ValueError(f"duplicate term in serialized element: {key}")
-        terms[key] = Fraction(str(entry["c"]))
+        terms[key] = coeff
     return MixedElement(nvars, terms)

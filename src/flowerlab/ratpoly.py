@@ -11,6 +11,9 @@ products this package computes).  The zero polynomial is an empty term map
 that still remembers its variable count, so ring arity survives arithmetic
 with 0.
 
+Multiplication works on exponent tuples packed into single int keys
+(``pack_exponents``) and unpacks its result once, on the way out.
+
 Canonical term order is graded lexicographic, descending: higher total
 degree first, ties broken lexicographically on the exponent tuple with the
 first variable strongest.  Serialization always uses this order, so two
@@ -158,6 +161,9 @@ class SparsePoly:
             return 0
         return max(sum(e) for e in self._terms)
 
+    def _max_exponent(self) -> int:
+        return max((max(e, default=0) for e in self._terms), default=0)
+
     def coefficient_in(self, index: int, power: int) -> "SparsePoly":
         """Coefficient of x_index^power, as a polynomial in the other variables."""
         if not 0 <= index < self.nvars:
@@ -230,19 +236,14 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_arity(other)
-        out: dict[Exponents, Coeff] = {}
-        items_b = list(other._terms.items())
-        for ea, ca in self._terms.items():
-            for eb, cb in items_b:
-                key = tuple(map(int.__add__, ea, eb))
-                new = out.get(key, 0) + ca * cb
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        for key, val in out.items():
-            out[key] = normalize_coeff(val)
-        return SparsePoly._raw(self.nvars, out)
+        bits = pack_width(self._max_exponent() + other._max_exponent())
+        a = _pack_terms(self, bits)
+        acc: dict[int, Coeff] = {}
+        if other is self:
+            _square_into(acc, a)
+        else:
+            _mul_into(acc, a, _pack_terms(other, bits))
+        return _unpack_terms(acc, self.nvars, bits)
 
     def __rmul__(self, other) -> "SparsePoly":
         return self.__mul__(other)
@@ -301,27 +302,6 @@ class SparsePoly:
             total += term
         return total
 
-    def substitute(self, index: int, replacement: "SparsePoly") -> "SparsePoly":
-        """Replace x_index by a polynomial of the same arity, fully expanded."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        self._check_arity(replacement)
-        powers: dict[int, SparsePoly] = {0: SparsePoly.one(self.nvars)}
-
-        def power(k: int) -> SparsePoly:
-            p = powers.get(k)
-            if p is None:
-                p = power(k - 1) * replacement
-                powers[k] = p
-            return p
-
-        result = SparsePoly.zero(self.nvars)
-        for exps, coeff in self._terms.items():
-            k = exps[index]
-            rest = exps[:index] + (0,) + exps[index + 1 :]
-            result = result + power(k) * SparsePoly._raw(self.nvars, {rest: coeff})
-        return result
-
     def specialize(self, index: int, value: Coeff) -> "SparsePoly":
         """Set x_index to a rational constant and drop that variable slot."""
         if not 0 <= index < self.nvars:
@@ -342,15 +322,6 @@ class SparsePoly:
             else:
                 out[key] = normalize_coeff(new)
         return SparsePoly._raw(self.nvars - 1, out)
-
-    def embed(self, nvars: int) -> "SparsePoly":
-        """Reinterpret in a larger ring; new trailing variables are unused."""
-        if nvars < self.nvars:
-            raise ValueError("cannot embed into a smaller ring")
-        if nvars == self.nvars:
-            return self
-        pad = (0,) * (nvars - self.nvars)
-        return SparsePoly._raw(nvars, {e + pad: c for e, c in self._terms.items()})
 
     def permute(self, perm: Sequence[int]) -> "SparsePoly":
         """Apply a variable permutation: result(x_1..x_n) = self(x_perm[0]+1, ...).
@@ -393,6 +364,82 @@ class SparsePoly:
             sign = "-" if negative else ("" if not parts else "+")
             parts.append(sign + body)
         return "".join(parts)
+
+
+# -- packed monomials -----------------------------------------------------------
+#
+# Multiplication packs each exponent tuple into one int, ``bits`` bits per
+# variable with the first variable most significant, so that multiplying two
+# monomials is adding two ints (the packed monomials of Monagan and Pearce).
+# The width is taken from the operands' largest exponents, wide enough that
+# no field of a product can carry into its neighbour.
+
+
+def pack_width(top: int) -> int:
+    """Bits per variable for packed keys whose exponents are at most ``top``."""
+    return max(1, top.bit_length())
+
+
+def pack_exponents(exps: Exponents, bits: int) -> int:
+    key = 0
+    for e in exps:
+        key = key << bits | e
+    return key
+
+
+def unpack_exponents(key: int, nvars: int, bits: int) -> Exponents:
+    mask = (1 << bits) - 1
+    return tuple([key >> shift & mask for shift in range((nvars - 1) * bits, -1, -bits)])
+
+
+def _pack_terms(poly: SparsePoly, bits: int) -> list[tuple[int, Coeff]]:
+    return [(pack_exponents(e, bits), c) for e, c in poly._terms.items()]
+
+
+def _unpack_terms(acc: dict[int, Coeff], nvars: int, bits: int) -> SparsePoly:
+    """The polynomial of a packed accumulator, dropping cancelled terms."""
+    return SparsePoly._raw(nvars, {
+        unpack_exponents(k, nvars, bits): normalize_coeff(c) for k, c in acc.items() if c
+    })
+
+
+def _mul_into(acc: dict[int, Coeff], a: list[tuple[int, Coeff]],
+              b: list[tuple[int, Coeff]]) -> None:
+    """acc += a * b on packed terms."""
+    get = acc.get
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _square_into(acc: dict[int, Coeff], a: list[tuple[int, Coeff]]) -> None:
+    """acc += a * a, each cross product computed once and doubled."""
+    get = acc.get
+    for i, (ka, ca) in enumerate(a):
+        k = ka + ka
+        acc[k] = get(k, 0) + ca * ca
+        ca += ca
+        for kb, cb in a[i + 1 :]:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def norm_form(p: SparsePoly, q: SparsePoly, d: SparsePoly) -> SparsePoly:
+    """p^2 - q^2*d, the norm of p + q*sqrt(d).
+
+    Both products are accumulated in one packed map and unpacked once, so
+    neither p^2 nor q^2*d is ever built as a polynomial.
+    """
+    p._check_arity(q)
+    p._check_arity(d)
+    bits = pack_width(max(2 * p._max_exponent(), 2 * q._max_exponent() + d._max_exponent()))
+    q2: dict[int, Coeff] = {}
+    _square_into(q2, _pack_terms(q, bits))
+    acc: dict[int, Coeff] = {}
+    _square_into(acc, _pack_terms(p, bits))
+    _mul_into(acc, [(k, c) for k, c in q2.items() if c], _pack_terms(-d, bits))
+    return _unpack_terms(acc, p.nvars, bits)
 
 
 def default_var_names(nvars: int) -> list[str]:

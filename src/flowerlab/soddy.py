@@ -818,7 +818,8 @@ def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
 
 def worker_count(explicit: Optional[int] = None) -> int:
     """Resolve the worker cap: explicit argument, else FLOWERLAB_THREADS,
-    else 1 (serial)."""
+    else 1 (serial).  A FLOWERLAB_THREADS that is not an integer is a
+    ValueError, not a silent fallback to serial."""
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get("FLOWERLAB_THREADS")
@@ -826,7 +827,7 @@ def worker_count(explicit: Optional[int] = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            return 1
+            raise ValueError(f"FLOWERLAB_THREADS must be an integer, got {env!r}") from None
     return 1
 
 

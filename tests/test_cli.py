@@ -124,6 +124,10 @@ def test_soddy_scan_formats_and_workers(monkeypatch):
     monkeypatch.setenv("FLOWERLAB_THREADS", "2")
     code, out2, _ = call(["soddy-scan", "--bound", "3"])
     assert out2 == out
+    monkeypatch.setenv("FLOWERLAB_THREADS", "abc")
+    code, out3, err = call(["soddy-scan", "--bound", "3"])
+    assert (code, out3) == (2, "")
+    assert "FLOWERLAB_THREADS" in err and "Traceback" not in err
 
 
 def test_graham_output():

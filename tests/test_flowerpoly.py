@@ -23,6 +23,7 @@ from flowerlab.flowerpoly import (
     verify_square,
     verify_symmetry,
 )
+from flowerlab.mixedring import MixedElement, SignVector, apply_sign, cos_sin_over_slots
 from flowerlab.ratpoly import SparsePoly, poly_dumps
 
 P1 = SparsePoly(1, {(1,): 1, (0,): -1})
@@ -107,6 +108,28 @@ def test_closure_gate():
 def test_product_route_equals_recursion():
     for n in range(2, 6):
         assert flower_poly_from_product(n) == flower_poly(n)
+
+
+def mixed_ring_step(prev: SparsePoly, n: int) -> SparsePoly:
+    """prev with its last variable replaced by w = cos(t_{n-1}+t_n), times its
+    conjugate under the sign generator on y_{n-1}*y_n, multiplied out in the
+    mixed ring (the recursion step before the norm form)."""
+    last = prev.nvars - 1
+    w = cos_sin_over_slots(n, (n - 2, n - 1))[0]
+    w_pow = [MixedElement.one(n)]
+    for _ in range(prev.degree_in(last)):
+        w_pow.append(w_pow[-1] * w)
+    a = MixedElement.zero(n)
+    for exps, coeff in prev.items():
+        a = a + MixedElement(n, {(exps[:last] + (0, 0), 0): coeff}) * w_pow[exps[last]]
+    return (a * apply_sign(SignVector.generator(n, n - 2), a)).to_poly()
+
+
+def test_norm_form_matches_mixed_ring_step():
+    ref = flower_poly(2)
+    for n in range(3, 7):
+        ref = mixed_ring_step(ref, n)
+        assert ref == flower_poly(n)
 
 
 def test_square_identity():

@@ -197,3 +197,20 @@ def test_json_round_trip():
         assert mixed_from_obj(mixed_to_obj(elem)) == elem
     obj = mixed_to_obj(y(2, 0) * y(2, 1) * 3)
     assert obj["terms"][0]["ys"] == [1, 2]
+
+
+def test_json_rejects_malformed():
+    good = {"vars": ["x1"], "terms": [{"c": "3/2", "e": [1], "ys": [1]}]}
+    assert mixed_from_obj(good) == x(1, 0) * y(1, 0) * F(3, 2)
+    bad = [
+        {"terms": []},
+        {"vars": ["x1"]},
+        [],
+        {"vars": ["x1"], "terms": [{"c": "one", "e": [1]}]},
+        {"vars": ["x1"], "terms": [{"c": "1/0", "e": [1]}]},
+        {"vars": ["x1"], "terms": [{"e": [1]}]},
+        {"vars": ["x1"], "terms": [{"c": "1", "e": [1], "ys": [2]}]},
+    ]
+    for obj in bad:
+        with pytest.raises(ValueError):
+            mixed_from_obj(obj)

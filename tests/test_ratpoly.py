@@ -1,4 +1,4 @@
-"""Ring operations, evaluation, substitution and serialization of SparsePoly."""
+"""Ring operations, evaluation, specialization and serialization of SparsePoly."""
 
 import json
 import random
@@ -70,25 +70,6 @@ def test_evaluate_length_mismatch():
         P3.evaluate([F(1), F(1)])
 
 
-def test_substitute_monomial():
-    # x2 - x1 with x2 replaced by x2*x3 (all in the 3-variable ring)
-    f = var(3, 1) - var(3, 0)
-    g = var(3, 1) * var(3, 2)
-    assert f.substitute(1, g) == g - var(3, 0)
-
-
-def test_substitute_identity_and_errors():
-    rng = random.Random(2)
-    for _ in range(20):
-        f = random_poly(rng, 3)
-        for i in range(3):
-            assert f.substitute(i, var(3, i)) == f
-    with pytest.raises(ValueError):
-        P3.substitute(5, var(3, 0))
-    with pytest.raises(ValueError):
-        P3.substitute(0, var(2, 0))
-
-
 def test_permute_swap_negates_difference():
     p2 = var(2, 1) - var(2, 0)  # x2 - x1
     assert p2.permute([1, 0]) == -p2
@@ -127,16 +108,12 @@ def test_specialize_contracts_arity():
     assert g == (x3 - x1) * (x3 - x1)
 
 
-def test_pow_and_embed():
+def test_pow():
     x1 = var(2, 0)
     assert x1**0 == SparsePoly.one(2)
     assert (x1 + 1) ** 3 == x1**3 + 3 * x1**2 + 3 * x1 + 1
     with pytest.raises(ValueError):
         x1 ** (-1)
-    f = P3.embed(5)
-    assert f.nvars == 5 and f.degree_in(4) == 0
-    with pytest.raises(ValueError):
-        P3.embed(2)
 
 
 def test_exponent_validation():

@@ -291,8 +291,11 @@ def test_worker_count_resolution(monkeypatch):
     assert worker_count(3) == 3
     monkeypatch.setenv("FLOWERLAB_THREADS", "4")
     assert worker_count() == 4
-    monkeypatch.setenv("FLOWERLAB_THREADS", "junk")
-    assert worker_count() == 1
+    for junk in ("junk", "0x2", "2.5"):
+        monkeypatch.setenv("FLOWERLAB_THREADS", junk)
+        with pytest.raises(ValueError, match="FLOWERLAB_THREADS"):
+            worker_count()
+    assert worker_count(2) == 2  # an explicit count does not read the variable
 
 
 def test_valid_solutions_satisfy_descartes():
