@@ -110,8 +110,10 @@ def _cmd_verify(args, stdout, stderr) -> int:
     }
     if args.all or not any(which.values()):
         which = {k: True for k in which}
-    if n < 2 or n > args.max_n:
-        raise UsageError(f"verify supports n in 2..{args.max_n}, got {n}")
+    # The checks build P_n under the default ceiling, so --max-n can only lower it.
+    top = min(args.max_n, DEFAULT_MAX_N)
+    if n < 2 or n > top:
+        raise UsageError(f"verify supports n in 2..{top}, got {n}")
 
     reports: list[flowerpoly.CheckReport] = []
     skipped: list[str] = []

@@ -41,7 +41,8 @@ from .mixedring import (
 )
 from .ratpoly import Coeff, Exponents, SparsePoly, norm_form
 
-DEFAULT_MAX_N = 7
+# P_7 did not finish in over 14 minutes and 600 MB, so the default refuses it.
+DEFAULT_MAX_N = 6
 
 TWO_PI = 2.0 * math.pi
 
@@ -286,7 +287,7 @@ def verify_monic(n: int) -> CheckReport:
     """Degree in every variable must be 2^(n-2); the leading coefficient is
     the constant 1 in every variable for n >= 3 (for n = 2 only the last
     variable carries +1, the first carries -1)."""
-    _check_n(n, 2, 7, "verify_monic")
+    _check_n(n, 2, DEFAULT_MAX_N, "verify_monic")
     pn = flower_poly(n)
     want = 1 << (n - 2)
     for i in range(n):

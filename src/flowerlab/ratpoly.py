@@ -474,8 +474,12 @@ def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
     nvars = len(names)
     terms: dict[Exponents, Coeff] = {}
     for entry in raw_terms:
-        coeff = parse_rational(str(entry["c"]))
-        exps = tuple(int(e) for e in entry["e"])
+        try:
+            text, raw_exps = entry["c"], entry["e"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"polynomial term needs 'c' and 'e': {entry!r}") from exc
+        coeff = parse_rational(str(text))
+        exps = tuple(int(e) for e in raw_exps)
         if exps in terms:
             raise ValueError(f"duplicate monomial in serialized polynomial: {exps}")
         terms[exps] = coeff

@@ -11,6 +11,8 @@ Contents:
   eliminating r_2, r_3 leaves a quadratic in r_1 that is solved exactly;
   every root is back-substituted, re-verified against all three equations,
   classified by sign, and gated by the numeric angle-sum branch check;
+  irrational roots are ``QuadraticValue``s a + b*sqrt(r), compared by value
+  (a, the sign of b, b^2*r) with no integer factoring;
 * ``sweep_radii``: a float grid-plus-bisection search for positive
   solutions of the same system, kept deliberately independent of the exact
   algebra so the two can audit each other;
@@ -59,38 +61,17 @@ def rational_sine(x) -> Optional[Fraction]:
     return sqrt_exact(1 - x * x)
 
 
-def _squarefree_split(n: int, limit: int = 1_000_000) -> tuple[int, int]:
-    """n = s^2 * f with f square-free; exact whenever every prime factor of
-    the square part is below ``limit`` (always true for the sizes here)."""
-    s, f = 1, 1
-    d = 2
-    while d * d <= n and d <= limit:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                f *= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        r = isqrt(n)
-        if r * r == n:
-            s *= r
-        else:
-            f *= n
-    return s, f
-
-
 @dataclass(frozen=True)
 class QuadraticValue:
     """Exact number of the form base + coef*sqrt(radicand).
 
     Perfect-square radicands are folded away at construction, so
-    ``coef != 0`` means the value is genuinely irrational.  Field arithmetic
-    within one Q(sqrt(radicand)) is exact; mixing distinct irrational
-    radicands is refused.
+    ``coef != 0`` means the value is genuinely irrational.  Any other radicand
+    p/q is kept as the integer p*q (with coef/q) and never factored, so one
+    value has many forms: 3 + 2*sqrt(3) is also 3 + 1/24*sqrt(6912).
+    Equality is decided from the value, by a, the sign of b and b^2*r for
+    a + b*sqrt(r).  Radicands r and s mix only when r*s is a rational square,
+    that is when both lie in one field Q(sqrt(r)); arithmetic there is exact.
     """
 
     base: Fraction
@@ -107,12 +88,9 @@ class QuadraticValue:
         root = sqrt_exact(radicand)
         if root is not None:
             return cls(base + coef * root, Fraction(0), Fraction(0))
-        # Canonicalize: sqrt(p/q) = sqrt(p*q)/q, then pull the square part
-        # out of the integer radicand so equal values compare equal.
-        p, q = radicand.numerator, radicand.denominator
-        coef = coef / q
-        s, f = _squarefree_split(p * q)
-        return cls(base, coef * s, Fraction(f))
+        # sqrt(p/q) = sqrt(p*q)/q keeps the radicand an integer.
+        q = radicand.denominator
+        return cls(base, coef / q, Fraction(radicand.numerator * q))
 
     @property
     def is_rational(self) -> bool:
@@ -123,16 +101,22 @@ class QuadraticValue:
         return self.base if self.coef == 0 else None
 
     def approx(self) -> float:
-        return float(self.base) + float(self.coef) * math.sqrt(float(self.radicand))
+        root = math.sqrt(float(self.coef * self.coef * self.radicand))
+        return float(self.base) + (root if self.coef > 0 else -root)
 
     # -- exact field arithmetic in Q(sqrt(radicand)) --
 
     def _coerce(self, other) -> "QuadraticValue":
-        if isinstance(other, QuadraticValue):
-            if self.radicand and other.radicand and self.radicand != other.radicand:
-                raise ValueError("mixing values from different quadratic fields")
+        if not isinstance(other, QuadraticValue):
+            return QuadraticValue.make(Fraction(other))
+        r, s = self.radicand, other.radicand
+        if not (r and s) or r == s:
             return other
-        return QuadraticValue.make(Fraction(other))
+        # sqrt(s) = sqrt(r*s)/r * sqrt(r) when r*s is a rational square.
+        root = sqrt_exact(r * s)
+        if root is None:
+            raise ValueError("mixing values from different quadratic fields")
+        return QuadraticValue(other.base, other.coef * root / r, r)
 
     def _rad(self, other: "QuadraticValue") -> Fraction:
         return self.radicand if self.radicand else other.radicand
@@ -191,19 +175,22 @@ class QuadraticValue:
     def is_positive(self) -> bool:
         return self.sign() > 0
 
+    def _key(self) -> tuple[Fraction, bool, Fraction]:
+        # Irrationals a + b*sqrt(r) = c + d*sqrt(s) have a = c (squaring would
+        # make sqrt(s) rational otherwise), so b, d share a sign and b^2*r = d^2*s.
+        return (self.base, self.coef > 0, self.coef * self.coef * self.radicand)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.coef == 0 and self.base == other
         if isinstance(other, QuadraticValue):
-            return (self.base, self.coef, self.radicand) == (
-                other.base, other.coef, other.radicand
-            )
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
         if self.coef == 0:
             return hash(self.base)
-        return hash((self.base, self.coef, self.radicand))
+        return hash(self._key())
 
     def to_obj(self) -> dict:
         out = {"rational": self.is_rational, "approx": self.approx()}

@@ -62,6 +62,9 @@ def test_size_ceiling_is_usage_error():
     # ceiling override is honored for the gate
     code, _, err = call(["pn", "--n", "8", "--max-n", "5"])
     assert code == 2
+    # verify's checks build under the default ceiling, whatever --max-n says
+    code, _, err = call(["verify", "--n", "7", "--max-n", "7"])
+    assert code == 2 and "2..6" in err
 
 
 def test_verify_all_green():

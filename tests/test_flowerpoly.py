@@ -186,6 +186,8 @@ def test_general_recursion_rejects_bad_compositions():
 
 def test_size_ceiling():
     with pytest.raises(SizeLimitError):
+        flower_poly(7)
+    with pytest.raises(SizeLimitError):
         flower_poly(8)
     with pytest.raises(SizeLimitError):
         flower_poly(99)

@@ -206,3 +206,21 @@ def test_duplicate_monomial_rejected_in_json():
     bad = {"vars": ["x1"], "terms": [{"c": "1", "e": [1]}, {"c": "2", "e": [1]}]}
     with pytest.raises(ValueError):
         poly_from_obj(bad)
+
+
+def test_json_rejects_malformed():
+    bad = [
+        {"terms": []},
+        {"vars": ["x1"]},
+        [],
+        {"vars": ["x1"], "terms": [{"c": "one", "e": [1]}]},
+        {"vars": ["x1"], "terms": [{"c": "1/0", "e": [1]}]},
+        {"vars": ["x1"], "terms": [{"e": [1]}]},
+        {"vars": ["x1"], "terms": [{"c": "1"}]},
+        {"vars": ["x1"], "terms": [["1", [1]]]},
+        {"vars": ["x1"], "terms": ["1"]},
+        {"vars": ["x1"], "terms": [3]},
+    ]
+    for obj in bad:
+        with pytest.raises(ValueError):
+            poly_from_obj(obj)

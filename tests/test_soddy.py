@@ -115,7 +115,7 @@ def test_tangent_curvatures_satisfy_descartes_exactly():
 
 def test_quadratic_value_algebra():
     v = QuadraticValue.make(3, 2, 3)
-    assert v == QuadraticValue.make(3, F(1, 24), 6912)  # radicand canonicalized
+    assert v == QuadraticValue.make(3, F(1, 24), 6912)  # same value, other radicand
     assert QuadraticValue.make(1, 2, 9).exact == 7  # perfect square folds
     assert v.sign() == 1 and (-v).sign() == -1
     assert QuadraticValue.make(3, -2, 3).sign() == -1  # 3 < 2*sqrt(3)
