@@ -34,6 +34,7 @@ from .ratpoly import (
     normalize_coeff,
     pack_exponents,
     pack_width,
+    parse_int_list,
     parse_rational,
     unpack_exponents,
 )
@@ -493,6 +494,8 @@ def mixed_from_obj(obj: Mapping) -> MixedElement:
         raw_terms = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError("mixed element object needs 'vars' and 'terms'") from exc
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"mixed element 'terms' must be a list, got {raw_terms!r}")
     terms: dict[MixedKey, Coeff] = {}
     for entry in raw_terms:
         try:
@@ -500,12 +503,12 @@ def mixed_from_obj(obj: Mapping) -> MixedElement:
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"mixed term needs 'c' and 'e': {entry!r}") from exc
         coeff = parse_rational(str(text))
-        exps = tuple(int(e) for e in raw_exps)
+        exps = parse_int_list(raw_exps, "mixed term 'e'")
         ybits = 0
-        for i in raw_ys:
-            if not 1 <= int(i) <= nvars:
+        for i in parse_int_list(raw_ys, "mixed term 'ys'"):
+            if not 1 <= i <= nvars:
                 raise ValueError(f"sine index {i} out of range 1..{nvars}")
-            ybits |= 1 << (int(i) - 1)
+            ybits |= 1 << (i - 1)
         key = (exps, ybits)
         if key in terms:
             raise ValueError(f"duplicate term in serialized element: {key}")

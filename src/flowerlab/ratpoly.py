@@ -52,6 +52,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def parse_int_list(raw, what: str) -> tuple[int, ...]:
+    """Parse a JSON list of integers, such as a term's exponents."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{what} must be a list, got {raw!r}")
+    try:
+        return tuple(int(v) for v in raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must hold integers, got {raw!r}") from exc
+
+
 def format_rational(value: Coeff) -> str:
     """Canonical string for a rational: ``p`` when integral, else ``p/q``."""
     return str(Fraction(value))
@@ -471,6 +481,8 @@ def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
         raw_terms = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError("polynomial object needs 'vars' and 'terms'") from exc
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"polynomial 'terms' must be a list, got {raw_terms!r}")
     nvars = len(names)
     terms: dict[Exponents, Coeff] = {}
     for entry in raw_terms:
@@ -479,7 +491,7 @@ def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"polynomial term needs 'c' and 'e': {entry!r}") from exc
         coeff = parse_rational(str(text))
-        exps = tuple(int(e) for e in raw_exps)
+        exps = parse_int_list(raw_exps, "polynomial term 'e'")
         if exps in terms:
             raise ValueError(f"duplicate monomial in serialized polynomial: {exps}")
         terms[exps] = coeff

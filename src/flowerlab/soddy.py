@@ -9,8 +9,11 @@ Contents:
   pairwise law-of-cosines equations factor as
   (r_i - u)(r_j - u) = w with u = (1-x)/(1+x) and w = u(u+1), and
   eliminating r_2, r_3 leaves a quadratic in r_1 that is solved exactly;
-  every root is back-substituted, re-verified against all three equations,
-  classified by sign, and gated by the numeric angle-sum branch check;
+  with the denominators cleared it is QA*r^2 + 2*QC*r + QC over integers,
+  its discriminant 4*w_1*w_2*w_3 is tested for a square with ``isqrt``, and
+  rational roots are back-substituted and re-verified against all three
+  equations in integer cross-multiplications; every root is classified by
+  sign and gated by the numeric angle-sum branch check;
   irrational roots are ``QuadraticValue``s a + b*sqrt(r), compared by value
   (a, the sign of b, b^2*r) with no integer factoring;
 * ``sweep_radii``: a float grid-plus-bisection search for positive
@@ -410,40 +413,58 @@ class SolveReport:
         }
 
 
-def _pair_equation_ok(u: Fraction, w: Fraction, ra: Fraction, rb: Fraction) -> bool:
-    return (ra - u) * (rb - u) == w
+_ZERO = Fraction(0)
+
+
+def _pair_equation_ok(a: int, b: int, c: int, na: int, da: int, nb: int, db: int) -> bool:
+    """(r_a - u)(r_b - u) == w for u = a/b, w = a*c/b^2, r_a = na/da and
+    r_b = nb/db, with every denominator multiplied out."""
+    return (na * b - a * da) * (nb * b - a * db) == a * c * da * db
 
 
 def solve_radii(cosines: CosTriple | Sequence, tol: float = 1e-9) -> SolveReport:
     """Solve for petal radii (center radius 1) matching an exact cosine triple.
 
     Eliminating r_2 (via the x_1 equation) and r_3 (via the x_3 equation)
-    from the x_2 equation leaves one quadratic in r_1.  Both roots are
-    reported: exact rationals when the discriminant is a perfect square,
-    flagged irrationals with float approximations otherwise.  A candidate is
-    a valid flower only if all radii are positive, all three pairwise
-    equations re-verify, and the angle-sum branch check passes.
+    from the x_2 equation leaves one quadratic q_a*r^2 + q_b*r + q_c in r_1.
+    It is solved in integers.  With x_i = p_i/q_i, a_i = q_i - p_i,
+    b_i = q_i + p_i and c_i = 2*q_i (so u_i = a_i/b_i, w_i = a_i*c_i/b_i^2),
+    its coefficients over D = b_1*b_2^2*b_3 are
+
+        q_a = QA/D,  QA = (a_1*b_2 - a_2*b_1)(a_3*b_2 - a_2*b_3) - a_2*c_2*b_1*b_3,
+        q_c = QC/D,  QC = a_1*a_3*c_2*b_2,    q_b = 2*q_c.
+
+    The discriminant is 4*QC*(QC - QA)/D^2 = 4*w_1*w_2*w_3, always positive;
+    it is a rational square iff ``isqrt`` squares back to QC*(QC - QA) = s^2,
+    and then the roots are (-QC + s)/QA and (-QC - s)/QA.  When QA = 0 the
+    one root is -q_c/q_b = -1/2.  Each rational root r_1 = n/m gives
+    r_2 = a_1*(e_1 + c_1*m)/(b_1*e_1) and r_3 = a_3*(e_3 + c_3*m)/(b_3*e_3)
+    with e_k = n*b_k - a_k*m (e_1 = 0 or e_3 = 0 is a degenerate candidate),
+    and all three pairwise equations are re-verified with denominators
+    cleared.  Irrational roots are ``QuadraticValue``s, re-verified in
+    Q(sqrt(disc)).  A candidate is a valid flower only if all radii are
+    positive, all three pairwise equations hold, and the angle-sum branch
+    check passes.
     """
     if not isinstance(cosines, CosTriple):
         cosines = CosTriple(*(Fraction(x) for x in cosines))
     xs = cosines.as_tuple()
+    abc = []
     for x in xs:
-        if x == -1:
+        p, q = x.numerator, x.denominator
+        if p == -q:
             raise ValueError("cosine -1 gives a degenerate (straight-angle) petal pair")
-        if not (Fraction(-1) < x < 1):
+        if not (-q < p < q):
             raise ValueError(f"cosine {x} outside (-1, 1)")
-    u = tuple((1 - x) / (1 + x) for x in xs)
-    w = tuple(ui * (ui + 1) for ui in u)
-
-    # [w1 + A1(r - u1)] * [w3 + A3(r - u3)] = w2 (r - u1)(r - u3),
-    # with A1 = u1 - u2, A3 = u3 - u2.
-    a1 = u[0] - u[1]
-    a3 = u[2] - u[1]
-    p1 = w[0] - a1 * u[0]  # w1 + A1*(r-u1) = A1*r + p1
-    p3 = w[2] - a3 * u[2]
-    qa = a1 * a3 - w[1]
-    qb = a1 * p3 + a3 * p1 + w[1] * (u[0] + u[2])
-    qc = p1 * p3 - w[1] * u[0] * u[2]
+        abc.append((q - p, q + p, 2 * q))
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = abc
+    u = (Fraction(a1, b1), Fraction(a2, b2), Fraction(a3, b3))
+    w = (Fraction(a1 * c1, b1 * b1), Fraction(a2 * c2, b2 * b2), Fraction(a3 * c3, b3 * b3))
+    qa_num = (a1 * b2 - a2 * b1) * (a3 * b2 - a2 * b3) - a2 * c2 * b1 * b3
+    qc_num = a1 * a3 * c2 * b2
+    den = b1 * b2 * b2 * b3
+    qa, qc = Fraction(qa_num, den), Fraction(qc_num, den)
+    qb = 2 * qc
 
     # Double precision decides the branch check except within three orders
     # of magnitude of the tolerance; the ambiguous window escalates to
@@ -455,64 +476,71 @@ def solve_radii(cosines: CosTriple | Sequence, tol: float = 1e-9) -> SolveReport
         sum_residual = angle_sum_residual(xs)
     angle_ok = sum_residual <= tol
 
-    roots: list[QuadraticValue] = []
+    # Rational roots as integer pairs (n, m) for n/m.
+    rational_roots: list[tuple[int, int]] = []
+    irrational_roots: list[QuadraticValue] = []
     disc: Optional[Fraction] = None
     disc_square: Optional[bool] = None
-    if qa != 0:
-        disc = qb * qb - 4 * qa * qc
-        disc_square = disc >= 0 and sqrt_exact(disc) is not None
-        if disc >= 0:
-            roots = [
+    if qa_num != 0:
+        # disc/4 = q_c*(q_c - q_a) = w_1*w_2*w_3 > 0: two distinct real roots.
+        radicand = qc_num * (qc_num - qa_num)
+        disc = Fraction(4 * radicand, den * den)
+        s = isqrt(radicand)
+        disc_square = s * s == radicand
+        if disc_square:
+            rational_roots = [(s - qc_num, qa_num), (-s - qc_num, qa_num)]
+        else:
+            irrational_roots = [
                 QuadraticValue.make(Fraction(-qb, 2 * qa), Fraction(1, 2 * qa), disc),
                 QuadraticValue.make(Fraction(-qb, 2 * qa), Fraction(-1, 2 * qa), disc),
             ]
-            if disc == 0:
-                roots = roots[:1]
-    elif qb != 0:
-        roots = [QuadraticValue.make(Fraction(-qc, qb))]
-    # qa == qb == 0: either no solution (qc != 0) or a fully degenerate
-    # one-parameter family; both are reported as an empty candidate list.
+    else:
+        rational_roots = [(-1, 2)]  # linear: -q_c/q_b, with q_b = 2*q_c and q_c > 0
 
     candidates: list[RadiiCandidate] = []
     flowers: list[FlowerConfig] = []
-    for root in roots:
-        if root.is_rational:
-            r1 = root.exact
-            if r1 == u[0] or r1 == u[2]:
-                zero = QuadraticValue.make(0)
-                candidates.append(
-                    RadiiCandidate(root, zero, zero, True, False, False, angle_ok, degenerate=True)
-                )
-                continue
-            r2 = u[0] + w[0] / (r1 - u[0])
-            r3 = u[2] + w[2] / (r1 - u[2])
-            eq_ok = (
-                _pair_equation_ok(u[0], w[0], r1, r2)
-                and _pair_equation_ok(u[1], w[1], r2, r3)
-                and _pair_equation_ok(u[2], w[2], r3, r1)
-            )
-            positive = r1 > 0 and r2 > 0 and r3 > 0
-            cand = RadiiCandidate(
-                QuadraticValue.make(r1), QuadraticValue.make(r2), QuadraticValue.make(r3),
-                True, positive, eq_ok, angle_ok,
-            )
-            candidates.append(cand)
-            if cand.valid:
-                flowers.append(FlowerConfig(Fraction(1), (r1, r2, r3)))
-        else:
-            # r1 is irrational, u rational, so the divisors cannot vanish;
-            # all arithmetic stays exact in Q(sqrt(disc)).
-            r2q = (root - u[0]).reciprocal() * w[0] + u[0]
-            r3q = (root - u[2]).reciprocal() * w[2] + u[2]
-            eq_ok = (
-                (root - u[0]) * (r2q - u[0]) == w[0]
-                and (r2q - u[1]) * (r3q - u[1]) == w[1]
-                and (r3q - u[2]) * (root - u[2]) == w[2]
-            )
-            positive = root.is_positive() and r2q.is_positive() and r3q.is_positive()
-            candidates.append(
-                RadiiCandidate(root, r2q, r3q, False, positive, eq_ok, angle_ok)
-            )
+    for n1, d1 in rational_roots:
+        r1 = Fraction(n1, d1)
+        # r_k - u_k = e_k/(d1*b_k); r_1 = u_1 or u_3 leaves r_2 or r_3 undefined.
+        e1 = n1 * b1 - a1 * d1
+        e3 = n1 * b3 - a3 * d1
+        if e1 == 0 or e3 == 0:
+            zero = QuadraticValue(_ZERO, _ZERO, _ZERO)
+            candidates.append(RadiiCandidate(
+                QuadraticValue(r1, _ZERO, _ZERO), zero, zero, True, False, False, angle_ok,
+                degenerate=True,
+            ))
+            continue
+        n2, d2 = a1 * (e1 + c1 * d1), b1 * e1
+        n3, d3 = a3 * (e3 + c3 * d1), b3 * e3
+        eq_ok = (
+            _pair_equation_ok(a1, b1, c1, n1, d1, n2, d2)
+            and _pair_equation_ok(a2, b2, c2, n2, d2, n3, d3)
+            and _pair_equation_ok(a3, b3, c3, n3, d3, n1, d1)
+        )
+        positive = n1 * d1 > 0 and n2 * d2 > 0 and n3 * d3 > 0
+        r2, r3 = Fraction(n2, d2), Fraction(n3, d3)
+        cand = RadiiCandidate(
+            QuadraticValue(r1, _ZERO, _ZERO), QuadraticValue(r2, _ZERO, _ZERO),
+            QuadraticValue(r3, _ZERO, _ZERO), True, positive, eq_ok, angle_ok,
+        )
+        candidates.append(cand)
+        if cand.valid:
+            flowers.append(FlowerConfig(Fraction(1), (r1, r2, r3)))
+    for root in irrational_roots:
+        # r1 is irrational, u rational, so the divisors cannot vanish;
+        # all arithmetic stays exact in Q(sqrt(disc)).
+        r2q = (root - u[0]).reciprocal() * w[0] + u[0]
+        r3q = (root - u[2]).reciprocal() * w[2] + u[2]
+        eq_ok = (
+            (root - u[0]) * (r2q - u[0]) == w[0]
+            and (r2q - u[1]) * (r3q - u[1]) == w[1]
+            and (r3q - u[2]) * (root - u[2]) == w[2]
+        )
+        positive = root.is_positive() and r2q.is_positive() and r3q.is_positive()
+        candidates.append(
+            RadiiCandidate(root, r2q, r3q, False, positive, eq_ok, angle_ok)
+        )
 
     return SolveReport(
         cosines=cosines,

@@ -210,6 +210,10 @@ def test_json_rejects_malformed():
         {"vars": ["x1"], "terms": [{"c": "1/0", "e": [1]}]},
         {"vars": ["x1"], "terms": [{"e": [1]}]},
         {"vars": ["x1"], "terms": [{"c": "1", "e": [1], "ys": [2]}]},
+        {"vars": ["x1"], "terms": 5},
+        {"vars": ["x1"], "terms": [{"c": "1", "e": 5}]},
+        {"vars": ["x1"], "terms": [{"c": "1", "e": [None]}]},
+        {"vars": ["x1"], "terms": [{"c": "1", "e": [1], "ys": 1}]},
     ]
     for obj in bad:
         with pytest.raises(ValueError):

@@ -220,6 +220,9 @@ def test_json_rejects_malformed():
         {"vars": ["x1"], "terms": [["1", [1]]]},
         {"vars": ["x1"], "terms": ["1"]},
         {"vars": ["x1"], "terms": [3]},
+        {"vars": ["x1"], "terms": 5},
+        {"vars": ["x1"], "terms": [{"c": "1", "e": 5}]},
+        {"vars": ["x1"], "terms": [{"c": "1", "e": [None]}]},
     ]
     for obj in bad:
         with pytest.raises(ValueError):

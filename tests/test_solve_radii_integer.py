@@ -1,0 +1,277 @@
+"""The integer-cleared ``solve_radii`` against the Fraction solver it replaced.
+
+``reference_solve`` below is that solver, kept as the oracle: it eliminates
+r_2 and r_3 with ``Fraction`` arithmetic, solves the r_1 quadratic through
+``sqrt_exact`` and re-verifies every root with Fractions.  ``solve_radii``
+must return the same report, field by field and as byte-identical JSON.
+"""
+
+import dataclasses
+import json
+import math
+import re
+from fractions import Fraction
+from itertools import product
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowerlab.discrepancy import solver_sweep_agree
+from flowerlab.geometry import FlowerConfig, angle_sum_residual
+from flowerlab.soddy import (
+    CosTriple,
+    QuadraticValue,
+    RadiiCandidate,
+    SoddyParams,
+    SolveReport,
+    _pair_equation_ok,
+    _scan_tuple,
+    cosines_from_params,
+    solve_radii,
+    sqrt_exact,
+    sweep_radii,
+)
+
+F = Fraction
+
+
+def fraction_coefficients(u, w):
+    """q_a, q_b, q_c of the r_1 quadratic, by eliminating r_2 and r_3 from
+    (r_i - u_i)(r_j - u_j) = w_i; works on Fractions and sympy expressions."""
+    a1 = u[0] - u[1]
+    a3 = u[2] - u[1]
+    p1 = w[0] - a1 * u[0]
+    p3 = w[2] - a3 * u[2]
+    return (
+        a1 * a3 - w[1],
+        a1 * p3 + a3 * p1 + w[1] * (u[0] + u[2]),
+        p1 * p3 - w[1] * u[0] * u[2],
+    )
+
+
+def reference_solve(cosines, tol: float = 1e-9) -> SolveReport:
+    if not isinstance(cosines, CosTriple):
+        cosines = CosTriple(*(F(x) for x in cosines))
+    xs = cosines.as_tuple()
+    for x in xs:
+        if x == -1:
+            raise ValueError("cosine -1 gives a degenerate (straight-angle) petal pair")
+        if not (F(-1) < x < 1):
+            raise ValueError(f"cosine {x} outside (-1, 1)")
+    u = tuple((1 - x) / (1 + x) for x in xs)
+    w = tuple(ui * (ui + 1) for ui in u)
+    qa, qb, qc = fraction_coefficients(u, w)
+
+    fast = abs(math.fsum(math.acos(float(x)) for x in xs) - 2.0 * math.pi)
+    sum_residual = fast if fast > 1e3 * tol or fast < 1e-3 * tol else angle_sum_residual(xs)
+    angle_ok = sum_residual <= tol
+
+    roots: list[QuadraticValue] = []
+    disc: Optional[Fraction] = None
+    disc_square: Optional[bool] = None
+    if qa != 0:
+        disc = qb * qb - 4 * qa * qc
+        disc_square = disc >= 0 and sqrt_exact(disc) is not None
+        if disc >= 0:
+            roots = [
+                QuadraticValue.make(F(-qb, 2 * qa), F(1, 2 * qa), disc),
+                QuadraticValue.make(F(-qb, 2 * qa), F(-1, 2 * qa), disc),
+            ]
+            if disc == 0:
+                roots = roots[:1]
+    elif qb != 0:
+        roots = [QuadraticValue.make(F(-qc, qb))]
+
+    def pair_ok(ui, wi, ra, rb):
+        return (ra - ui) * (rb - ui) == wi
+
+    candidates, flowers = [], []
+    for root in roots:
+        if root.is_rational:
+            r1 = root.exact
+            if r1 == u[0] or r1 == u[2]:
+                zero = QuadraticValue.make(0)
+                candidates.append(
+                    RadiiCandidate(root, zero, zero, True, False, False, angle_ok, degenerate=True)
+                )
+                continue
+            r2 = u[0] + w[0] / (r1 - u[0])
+            r3 = u[2] + w[2] / (r1 - u[2])
+            eq_ok = (
+                pair_ok(u[0], w[0], r1, r2)
+                and pair_ok(u[1], w[1], r2, r3)
+                and pair_ok(u[2], w[2], r3, r1)
+            )
+            cand = RadiiCandidate(
+                QuadraticValue.make(r1), QuadraticValue.make(r2), QuadraticValue.make(r3),
+                True, r1 > 0 and r2 > 0 and r3 > 0, eq_ok, angle_ok,
+            )
+            candidates.append(cand)
+            if cand.valid:
+                flowers.append(FlowerConfig(F(1), (r1, r2, r3)))
+        else:
+            r2q = (root - u[0]).reciprocal() * w[0] + u[0]
+            r3q = (root - u[2]).reciprocal() * w[2] + u[2]
+            eq_ok = (
+                (root - u[0]) * (r2q - u[0]) == w[0]
+                and (r2q - u[1]) * (r3q - u[1]) == w[1]
+                and (r3q - u[2]) * (root - u[2]) == w[2]
+            )
+            positive = root.is_positive() and r2q.is_positive() and r3q.is_positive()
+            candidates.append(RadiiCandidate(root, r2q, r3q, False, positive, eq_ok, angle_ok))
+    return SolveReport(cosines, u, w, (qa, qb, qc), disc, disc_square, sum_residual,
+                       angle_ok, tuple(candidates), tuple(flowers))
+
+
+def representation(q: QuadraticValue):
+    return (type(q.base), q.base, q.coef, q.radicand)
+
+
+def assert_matches_reference(cosines):
+    try:
+        want = reference_solve(cosines)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            solve_radii(cosines)
+        return None
+    got = solve_radii(cosines)
+    assert json.dumps(got.to_obj()) == json.dumps(want.to_obj())
+    for field in dataclasses.fields(SolveReport):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for c, d in zip(got.candidates, want.candidates, strict=True):
+        assert c == d
+        for q, r in ((c.r1, d.r1), (c.r2, d.r2), (c.r3, d.r3)):
+            assert representation(q) == representation(r)
+    return got
+
+
+def test_every_bound_8_lattice_tuple_matches_the_reference():
+    for params in product(range(1, 9), repeat=4):
+        assert_matches_reference(cosines_from_params(SoddyParams(*params)))
+
+
+# -- hypothesis triples ------------------------------------------------------------
+
+COSINE = st.fractions(min_value=-1, max_value=1, max_denominator=10**4).filter(
+    lambda x: -1 < x < 1
+)
+NEAR_ONE = st.integers(2, 10**12).map(lambda k: F(k - 1, k))
+EDGE_COSINE = st.one_of(COSINE, NEAR_ONE, NEAR_ONE.map(lambda x: -x))
+
+
+def cosine_of(u: Fraction) -> Fraction:
+    """Invert u = (1 - x)/(1 + x)."""
+    return (1 - u) / (1 + u)
+
+
+def u_of(x: Fraction) -> Fraction:
+    return (1 - x) / (1 + x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(EDGE_COSINE, EDGE_COSINE, EDGE_COSINE)
+def test_random_triples_match_the_reference(x1, x2, x3):
+    assert_matches_reference((x1, x2, x3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
+def test_parametrized_triples_match_the_reference(m1, n1, m2, n2):
+    # square discriminants: the parametrized triples are the rational ones
+    report = assert_matches_reference(cosines_from_params(SoddyParams(m1, n1, m2, n2)))
+    if report is not None:
+        assert report.discriminant_square
+
+
+@settings(max_examples=30, deadline=None)
+@given(EDGE_COSINE, EDGE_COSINE)
+def test_linear_case_matches_the_reference(x1, x3):
+    # q_a = u_1*u_3 - u_2*(u_1 + u_3 + 1) vanishes at this u_2
+    u1, u3 = u_of(x1), u_of(x3)
+    report = assert_matches_reference((x1, cosine_of(u1 * u3 / (u1 + u3 + 1)), x3))
+    assert report.quadratic[0] == 0 and report.discriminant is None
+    assert [c.r1 for c in report.candidates] == [F(-1, 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(EDGE_COSINE, EDGE_COSINE, st.booleans())
+def test_root_at_a_pole_matches_the_reference(xa, x2, first):
+    # r_1 = u_1 is a root iff u_3 = u_1*u_2/(1 + u_1 + u_2), and symmetrically
+    ua, u2 = u_of(xa), u_of(x2)
+    other = cosine_of(ua * u2 / (1 + ua + u2))
+    triple = (xa, x2, other) if first else (other, x2, xa)
+    report = assert_matches_reference(triple)
+    pole = report.u[0] if first else report.u[2]
+    assert pole in [c.r1 for c in report.candidates if c.degenerate]
+
+
+@settings(max_examples=60, deadline=None)
+@given(EDGE_COSINE, EDGE_COSINE, EDGE_COSINE)
+def test_discriminant_is_four_w1_w2_w3(x1, x2, x3):
+    # why no triple reaches a zero or negative discriminant
+    report = solve_radii((x1, x2, x3))
+    w1, w2, w3 = report.w
+    if report.quadratic[0] != 0:
+        assert report.discriminant == 4 * w1 * w2 * w3 > 0
+        assert len(report.candidates) == 2
+
+
+def test_closed_form_coefficients_symbolically():
+    sp = pytest.importorskip("sympy")
+    p = sp.symbols("p1:4")
+    q = sp.symbols("q1:4", positive=True)
+    a = [q[i] - p[i] for i in range(3)]
+    b = [q[i] + p[i] for i in range(3)]
+    c = [2 * q[i] for i in range(3)]
+    u = [(1 - p[i] / q[i]) / (1 + p[i] / q[i]) for i in range(3)]
+    w = [ui * (ui + 1) for ui in u]
+    qa, qb, qc = fraction_coefficients(u, w)
+    den = b[0] * b[1] ** 2 * b[2]
+    big_a = (a[0] * b[1] - a[1] * b[0]) * (a[2] * b[1] - a[1] * b[2]) - a[1] * c[1] * b[0] * b[2]
+    big_c = a[0] * a[2] * c[1] * b[1]
+    assert sp.cancel(qa - big_a / den) == 0
+    assert sp.cancel(qb - 2 * qc) == 0
+    assert sp.cancel(qc - big_c / den) == 0
+    assert sp.cancel(qc * (qc - qa) - w[0] * w[1] * w[2]) == 0
+
+
+def test_integer_pair_check_rejects_a_radius_moved_by_one():
+    cosines = CosTriple(F(-204, 325), F(-152, 377), F(-333, 725))
+    radii = (F(23, 2), F(23, 3), F(23, 6))
+    abc = [(x.denominator - x.numerator, x.denominator + x.numerator, 2 * x.denominator)
+           for x in cosines.as_tuple()]
+    for i in range(3):
+        ra, rb = radii[i], radii[(i + 1) % 3]
+        na, da, nb, db = ra.numerator, ra.denominator, rb.numerator, rb.denominator
+        assert _pair_equation_ok(*abc[i], na, da, nb, db)
+        # the same radii with unreduced denominators still pass
+        assert _pair_equation_ok(*abc[i], -3 * na, -3 * da, 5 * nb, 5 * db)
+        assert not _pair_equation_ok(*abc[i], na + da, da, nb, db)
+        assert not _pair_equation_ok(*abc[i], na, da, nb - db, db)
+
+
+# -- properties of the solver and the scan ----------------------------------------
+
+PARAMS = st.tuples(*[st.integers(1, 30)] * 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(PARAMS)
+def test_solver_agrees_with_sweep_on_parametrized_triples(params):
+    triple = cosines_from_params(SoddyParams(*params))
+    try:
+        report = solve_radii(triple)
+    except ValueError:
+        return  # x_3 = -1
+    assert solver_sweep_agree(report, sweep_radii(triple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(PARAMS, st.integers(1, 6), st.integers(1, 6))
+def test_scan_record_is_invariant_under_pair_scaling(params, k, j):
+    m1, n1, m2, n2 = params
+    record = _scan_tuple(params)
+    scaled = _scan_tuple((k * m1, k * n1, j * m2, j * n2))
+    assert dataclasses.replace(scaled, params=params) == record
