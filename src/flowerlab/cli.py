@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -40,6 +41,18 @@ def _parse_radii(values: list[str]) -> list[Fraction]:
     if any(r <= 0 for r in radii):
         raise UsageError("radii must be strictly positive")
     return radii
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative float.  A NaN would
+    make every residual comparison false and so skip the check it guards."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return tol
 
 
 def _emit(text: str, out_path: str | None, stdout) -> None:
@@ -176,7 +189,10 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
         raise UsageError(str(exc)) from exc
     cosines = soddy.cosines_from_params(params)
     constraints = soddy.constraint_report(params)
-    solved = soddy.solve_radii(cosines, tol=args.tol)
+    try:
+        solved = soddy.solve_radii(cosines, tol=args.tol)
+    except ValueError as exc:
+        raise UsageError(f"params {params.as_tuple()}: {exc}") from exc
     ratios = soddy.graham_inverse(params)
     sines = [soddy.rational_sine(x) for x in cosines.as_tuple()]
     scaled = None
@@ -364,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soddy-gen", help="expand one parameter tuple")
     p.add_argument("--params", type=int, nargs=4, required=True,
                    metavar=("M1", "N1", "M2", "N2"))
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_soddy_gen)
 
@@ -393,19 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
     pc = fsub.add_parser("check", help="validate a configuration")
     pc.add_argument("radii", nargs="+",
                     help="center radius then petal radii, integers or p/q")
-    pc.add_argument("--tol", type=float, default=1e-9)
+    pc.add_argument("--tol", type=_tolerance, default=1e-9)
     common(pc)
     pc.set_defaults(func=_cmd_flower_check)
 
     pr = fsub.add_parser("render", help="write an SVG drawing")
     pr.add_argument("radii", nargs="+")
-    pr.add_argument("--tol", type=float, default=1e-9)
+    pr.add_argument("--tol", type=_tolerance, default=1e-9)
     pr.add_argument("--out", required=True, help="output SVG path ('-' for stdout)")
     pr.set_defaults(func=_cmd_flower_render, format="svg")
 
     p = sub.add_parser("discrepancy",
                        help="recompute the recorded reference comparisons")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_discrepancy)
 

@@ -10,7 +10,7 @@ This module builds that polynomial three ways:
 * ``flower_poly_from_product`` product of (x_n - sigma(cos expansion)) over
                                the sign group on the first n-1 variables;
 * ``closure_product_poly(n)``  the full product of (sigma(cos expansion)-1)
-                               over all 2^(n-1) sign vectors, which equals
+                               over all 2^(n-1) sign masks, which equals
                                the square of the flower polynomial.
 
 The verify_* helpers check the structural identities relating these routes
@@ -29,16 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
-from .mixedring import (
-    MixedElement,
-    SignVector,
-    apply_sign,
-    cos_sin_over_slots,
-    poly_at_mixed,
-    sign_vectors,
-)
+from .mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
 from .ratpoly import Coeff, Exponents, SparsePoly, norm_form
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the default refuses it.
@@ -135,7 +129,7 @@ def flower_poly(n: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
 
 def flower_poly_from_product(n: int) -> SparsePoly:
     """The flower polynomial as the product of (x_n - sigma(cos expansion))
-    over all sign vectors acting on the first n-1 variables.
+    over all sign masks acting on the first n-1 variables.
 
     Independent of the recursion route; gated to n <= 5 because the product
     has 2^(n-2) factors.
@@ -144,8 +138,8 @@ def flower_poly_from_product(n: int) -> SparsePoly:
     ec = cos_sin_over_slots(n, range(n - 1))[0]
     xn = MixedElement.x_var(n, n - 1)
     factors = []
-    for bits in _block_sign_bits(n, 0, n - 1):
-        factors.append(xn - apply_sign(SignVector(n, bits), ec))
+    for gens in _block_sign_bits(0, n - 1):
+        factors.append(xn - apply_sign(gens, ec))
     return _product(factors).to_poly()
 
 
@@ -158,21 +152,15 @@ def closure_product_poly(n: int) -> SparsePoly:
     """
     _check_n(n, 1, 5, "closure_product_poly")
     ec = cos_sin_over_slots(n, range(n))[0]
-    factors = [apply_sign(sv, ec) - 1 for sv in sign_vectors(n)]
+    factors = [apply_sign(gens, ec) - 1 for gens in range(1 << (n - 1))]
     return _product(factors).to_poly()
 
 
-def _block_sign_bits(n: int, offset: int, size: int):
-    """Bit tuples (length n-1) for the sign subgroup acting inside one block
-    of ``size`` consecutive variables starting at ``offset``."""
-    from itertools import product as iproduct
-
-    positions = list(range(offset, offset + size - 1))
-    for chosen in iproduct((False, True), repeat=len(positions)):
-        bits = [False] * (n - 1)
-        for pos, on in zip(positions, chosen):
-            bits[pos] = on
-        yield tuple(bits)
+def _block_sign_bits(offset: int, size: int) -> range:
+    """Generator masks of the sign subgroup acting inside one block of
+    ``size`` consecutive variables starting at ``offset``: the generators
+    offset..offset+size-2."""
+    return range(0, 1 << (offset + size - 1), 1 << offset)
 
 
 # -- structural checks ---------------------------------------------------------
@@ -253,15 +241,10 @@ def verify_general_recursion(n: int, composition: Sequence[int]) -> CheckReport:
         cos_sin_over_slots(n, range(off, off + size))[0]
         for off, size in zip(offsets, composition)
     ]
-    block_groups = [
-        [SignVector(n, bits) for bits in _block_sign_bits(n, off, size)]
-        for off, size in zip(offsets, composition)
-    ]
+    block_groups = [_block_sign_bits(off, size) for off, size in zip(offsets, composition)]
     factors = []
-    from itertools import product as iproduct
-
-    for choice in iproduct(*block_groups):
-        args = [apply_sign(sv, ec) for sv, ec in zip(choice, block_cos)]
+    for choice in product(*block_groups):
+        args = [apply_sign(gens, ec) for gens, ec in zip(choice, block_cos)]
         factors.append(poly_at_mixed(outer, args))
     combined = _product(factors).to_poly()
     diff = first_difference(combined, flower_poly(n))

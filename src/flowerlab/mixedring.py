@@ -5,46 +5,47 @@ is rewritten eagerly, so every stored term carries each y_i to the power 0
 or 1.  A term is keyed by its x-exponent tuple plus a bitmask of the y
 variables present.
 
-The module provides
+This ring is the independent oracle for the flower polynomial: the
+definitional product routes in ``flowerpoly`` multiply sign conjugates of
+angle-sum expansions here, while ``flower_poly`` itself never leaves plain
+polynomial arithmetic.  The module provides
 
-* ``angle_sum_cos_sin(n)``: the expansions of cos(t_1+...+t_n) and
-  sin(t_1+...+t_n) as elements of this ring, built by the two-term
-  angle-addition recursion, and ``angle_sum_cos_sin_direct(n)``, the same
-  values built combinatorially (one term per sin/cos pattern) as an
-  independent oracle;
-* ``SignVector`` / ``apply_sign``: the group of ring automorphisms that fix
-  all x_i and flip the signs of adjacent products y_i*y_{i+1}.  Generator i
-  (0-based) negates a term exactly when the term contains an odd number of
-  y's among slots 0..i, i.e. when the term "crosses" boundary i.
+* ``cos_sin_over_slots``: the expansions of cos and sin of an angle sum,
+  built by the two-term angle-addition recursion;
+* ``apply_sign``: the group Z_2^(n-1) of ring automorphisms that fix all
+  x_i and flip the signs of adjacent products y_i*y_{i+1}.  An element is
+  an int whose bit i switches on generator i (0-based); composition is
+  xor and the group is ``range(1 << (n - 1))``.  Generator i negates a term
+  exactly when the term contains an odd number of y's among slots 0..i,
+  i.e. when the term "crosses" boundary i;
+* ``poly_at_mixed``: a pure polynomial evaluated at ring elements.
 
 Like the pure polynomials, elements are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ratpoly import (
     Coeff,
     Exponents,
     SparsePoly,
+    TermMap,
     normalize_coeff,
     pack_exponents,
     pack_width,
-    parse_int_list,
-    parse_rational,
     unpack_exponents,
 )
 
 MixedKey = tuple[Exponents, int]  # (x exponents, y-support bitmask)
 
-class MixedElement:
+
+class MixedElement(TermMap):
     """Immutable element of the quotient ring; y-exponents are 0 or 1."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[MixedKey, Coeff] | None = None):
         if nvars < 1:
@@ -53,7 +54,7 @@ class MixedElement:
         if terms:
             for (exps, ybits), coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
+                if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
                 if ybits < 0 or ybits >> nvars:
                     raise ValueError(f"y-support {ybits:#x} out of range")
@@ -63,17 +64,7 @@ class MixedElement:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("MixedElement is immutable")
-
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict[MixedKey, Coeff]) -> "MixedElement":
-        self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", terms)
-        return self
 
     @classmethod
     def zero(cls, nvars: int) -> "MixedElement":
@@ -105,24 +96,16 @@ class MixedElement:
     def from_poly(cls, poly: SparsePoly) -> "MixedElement":
         return cls._raw(poly.nvars, {(e, 0): c for e, c in poly.items()})
 
+    def _lift(self, other) -> "MixedElement | None":
+        if isinstance(other, MixedElement):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return MixedElement.scalar(self.nvars, other)
+        if isinstance(other, SparsePoly):
+            return MixedElement.from_poly(other)
+        return None
+
     # -- inspection --------------------------------------------------------
-
-    def items(self):
-        return self._terms.items()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MixedElement):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
 
     def to_poly(self) -> SparsePoly:
         """Extract as a plain polynomial; error if any y survives."""
@@ -159,61 +142,13 @@ class MixedElement:
             parts.append(sign + body)
         return "".join(parts)
 
-    def __repr__(self) -> str:
-        return f"MixedElement({self.nvars}, {self.pretty()!r})"
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check_arity(self, other: "MixedElement") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"arity mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other) -> "MixedElement":
-        if isinstance(other, (int, Fraction)):
-            other = MixedElement.scalar(self.nvars, other)
-        elif isinstance(other, SparsePoly):
-            other = MixedElement.from_poly(other)
-        if not isinstance(other, MixedElement):
-            return NotImplemented
-        self._check_arity(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) + coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = normalize_coeff(new)
-        return MixedElement._raw(self.nvars, out)
-
-    def __radd__(self, other) -> "MixedElement":
-        return self.__add__(other)
-
-    def __neg__(self) -> "MixedElement":
-        return MixedElement._raw(self.nvars, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "MixedElement":
-        if isinstance(other, (int, Fraction)):
-            other = MixedElement.scalar(self.nvars, other)
-        elif isinstance(other, SparsePoly):
-            other = MixedElement.from_poly(other)
-        if not isinstance(other, MixedElement):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other) -> "MixedElement":
-        return (-self).__add__(other)
+    # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other) -> "MixedElement":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MixedElement.zero(self.nvars)
-            return MixedElement._raw(
-                self.nvars,
-                {k: normalize_coeff(c * other) for k, c in self._terms.items()},
-            )
-        if isinstance(other, SparsePoly):
-            other = MixedElement.from_poly(other)
-        if not isinstance(other, MixedElement):
+            return self._scale(other)
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         self._check_arity(other)
         # Packed key: the x exponents packed as in SparsePoly, shifted above
@@ -269,23 +204,6 @@ class MixedElement:
         return [((pack_exponents(e, bits) << nvars) | ybits, c)
                 for (e, ybits), c in self._terms.items()]
 
-    def __rmul__(self, other) -> "MixedElement":
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> "MixedElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MixedElement.one(self.nvars)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
 
 def _reduction_offsets(nvars: int, bits: int, mask: int) -> tuple[list[int], list[int]]:
     """Packed-key offsets for the product of two terms sharing the y mask
@@ -303,71 +221,26 @@ def _reduction_offsets(nvars: int, bits: int, mask: int) -> tuple[list[int], lis
 # -- sign automorphisms --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Element of the sign group Z_2^(n-1) acting on the mixed ring.
+def apply_sign(gens: int, element: MixedElement) -> MixedElement:
+    """Apply the sign automorphism whose generators are the set bits of ``gens``.
 
-    ``bits[i]`` switches on generator i (0-based), the automorphism that
-    negates y_i*y_{i+1} and fixes every other adjacent product and all x's.
+    A term is negated once per switched-on generator i whose prefix 0..i
+    holds an odd number of its y's, so in all exactly when its y-support
+    meets ``flips`` in an odd number of slots, where bit j of ``flips`` is
+    the parity of the generators i >= j.  Pure-x terms are always fixed.
     """
-
-    nvars: int
-    bits: tuple[bool, ...]
-
-    def __post_init__(self):
-        if self.nvars < 1:
-            raise ValueError("variable count must be positive")
-        if len(self.bits) != self.nvars - 1:
-            raise ValueError(
-                f"sign vector needs {self.nvars - 1} bits, got {len(self.bits)}"
-            )
-
-    @classmethod
-    def identity(cls, nvars: int) -> "SignVector":
-        return cls(nvars, (False,) * (nvars - 1))
-
-    @classmethod
-    def generator(cls, nvars: int, index: int) -> "SignVector":
-        bits = [False] * (nvars - 1)
-        bits[index] = True
-        return cls(nvars, tuple(bits))
-
-    def is_identity(self) -> bool:
-        return not any(self.bits)
-
-    def compose(self, other: "SignVector") -> "SignVector":
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        return SignVector(self.nvars, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-
-def sign_vectors(nvars: int) -> Iterator[SignVector]:
-    """All 2^(n-1) sign vectors, identity first."""
-    for bits in product((False, True), repeat=nvars - 1):
-        yield SignVector(nvars, bits)
-
-
-def apply_sign(sigma: SignVector, element: MixedElement) -> MixedElement:
-    """Apply a sign automorphism; pure-x terms are always fixed."""
-    if sigma.nvars != element.nvars:
-        raise ValueError(
-            f"arity mismatch: sign vector on {sigma.nvars} variables, "
-            f"element on {element.nvars}"
-        )
-    masks = [(1 << (i + 1)) - 1 for i, on in enumerate(sigma.bits) if on]
-    if not masks:
+    n = element.nvars
+    if not isinstance(gens, int) or gens < 0 or gens >> (n - 1):
+        raise ValueError(f"sign mask {gens!r} out of range for {n} variables")
+    if not gens:
         return element
-    out: dict[MixedKey, Coeff] = {}
-    for (exps, ybits), coeff in element.items():
-        if ybits:
-            neg = False
-            for m in masks:
-                if (ybits & m).bit_count() & 1:
-                    neg = not neg
-            if neg:
-                coeff = -coeff
-        out[(exps, ybits)] = coeff
-    return MixedElement._raw(element.nvars, out)
+    flips = 0
+    for j in range(n - 1):
+        if (gens >> j).bit_count() & 1:
+            flips |= 1 << j
+    return MixedElement._raw(n, {
+        key: -c if (key[1] & flips).bit_count() & 1 else c for key, c in element.items()
+    })
 
 
 # -- angle-sum expansions --------------------------------------------------------
@@ -396,36 +269,6 @@ def cos_sin_over_slots(
     xj = MixedElement.x_var(nvars, j)
     yj = MixedElement.y_var(nvars, j)
     return xj * ec - yj * es, yj * ec + xj * es
-
-
-def angle_sum_cos_sin(n: int) -> tuple[MixedElement, MixedElement]:
-    """Expansions of cos(t_1+...+t_n) and sin(t_1+...+t_n), recursively built."""
-    if n < 1:
-        raise ValueError("need at least one angle")
-    return cos_sin_over_slots(n, range(n))
-
-
-def angle_sum_cos_sin_direct(n: int) -> tuple[MixedElement, MixedElement]:
-    """Same values as ``angle_sum_cos_sin`` built term-by-term.
-
-    Each of the 2^n sin/cos patterns contributes one term: patterns with an
-    even number 2e of sines go to the cosine with sign (-1)^e, patterns with
-    an odd number 2e+1 go to the sine with sign (-1)^e.  Serves as the
-    independent oracle for the recursive construction.
-    """
-    if n < 1:
-        raise ValueError("need at least one angle")
-    zero_x = (0,) * n
-    cos_terms: dict[MixedKey, Coeff] = {}
-    sin_terms: dict[MixedKey, Coeff] = {}
-    for mask in range(1 << n):
-        sines = mask.bit_count()
-        exps = tuple(0 if mask >> i & 1 else 1 for i in range(n))
-        if sines % 2 == 0:
-            cos_terms[(exps, mask)] = -1 if (sines // 2) % 2 else 1
-        else:
-            sin_terms[(exps, mask)] = -1 if ((sines - 1) // 2) % 2 else 1
-    return MixedElement._raw(n, cos_terms), MixedElement._raw(n, sin_terms)
 
 
 def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElement:
@@ -460,57 +303,3 @@ def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElemen
                 term = term * power(i, e)
         total = total + term
     return total
-
-
-# -- JSON serialization ---------------------------------------------------------
-#
-# Extends the polynomial wire format with a per-term "ys" list of 1-based
-# variable indices whose sine factor is present.
-
-
-def mixed_to_obj(element: MixedElement) -> dict:
-    n = element.nvars
-    keys = sorted(
-        element._terms,
-        key=lambda k: (sum(k[0]) + bin(k[1]).count("1"), k[0], k[1]),
-        reverse=True,
-    )
-    terms = []
-    for exps, ybits in keys:
-        coeff = element._terms[(exps, ybits)]
-        terms.append(
-            {
-                "c": str(Fraction(coeff)),
-                "e": list(exps),
-                "ys": [i + 1 for i in range(n) if ybits >> i & 1],
-            }
-        )
-    return {"vars": [f"x{i + 1}" for i in range(n)], "terms": terms}
-
-
-def mixed_from_obj(obj: Mapping) -> MixedElement:
-    try:
-        nvars = len(obj["vars"])
-        raw_terms = obj["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("mixed element object needs 'vars' and 'terms'") from exc
-    if not isinstance(raw_terms, list):
-        raise ValueError(f"mixed element 'terms' must be a list, got {raw_terms!r}")
-    terms: dict[MixedKey, Coeff] = {}
-    for entry in raw_terms:
-        try:
-            text, raw_exps, raw_ys = entry["c"], entry["e"], entry.get("ys", [])
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"mixed term needs 'c' and 'e': {entry!r}") from exc
-        coeff = parse_rational(str(text))
-        exps = parse_int_list(raw_exps, "mixed term 'e'")
-        ybits = 0
-        for i in parse_int_list(raw_ys, "mixed term 'ys'"):
-            if not 1 <= i <= nvars:
-                raise ValueError(f"sine index {i} out of range 1..{nvars}")
-            ybits |= 1 << (i - 1)
-        key = (exps, ybits)
-        if key in terms:
-            raise ValueError(f"duplicate term in serialized element: {key}")
-        terms[key] = coeff
-    return MixedElement(nvars, terms)

@@ -98,6 +98,8 @@ def _factor_pairs(beta: int) -> Iterator[tuple[int, int]]:
 
 def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:
     """All primitive solutions with z <= z_bound, each with its witnesses."""
+    if beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta}")
     if not is_squarefree(beta):
         raise ValueError(f"beta = {beta} is not square-free")
     if z_bound < 1:
@@ -142,6 +144,8 @@ def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:
 def brute_force_triples(beta: int, z_bound: int) -> set[tuple[int, int, int]]:
     """Exhaustive oracle: scan x < z <= z_bound, solve for y, keep pairwise
     coprime solutions."""
+    if beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta}")
     if z_bound < 1:
         raise ValueError("bound must be at least 1")
     out: set[tuple[int, int, int]] = set()

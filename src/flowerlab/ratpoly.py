@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coeff = int | Fraction
@@ -56,10 +56,9 @@ def parse_int_list(raw, what: str) -> tuple[int, ...]:
     """Parse a JSON list of integers, such as a term's exponents."""
     if not isinstance(raw, list):
         raise ValueError(f"{what} must be a list, got {raw!r}")
-    try:
-        return tuple(int(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must hold integers, got {raw!r}") from exc
+    if not all(type(v) is int for v in raw):
+        raise ValueError(f"{what} must hold integers, got {raw!r}")
+    return tuple(raw)
 
 
 def format_rational(value: Coeff) -> str:
@@ -71,10 +70,117 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-class SparsePoly:
-    """Immutable sparse polynomial over the rationals."""
+class TermMap:
+    """Immutable map from term keys to nonzero rational coefficients, with
+    the ring plumbing shared by ``SparsePoly`` and the mixed cos/sin ring.
+
+    A subclass supplies its ``__init__`` validation, its constructors,
+    ``_lift`` (an operand as an element of the same ring, or None), ``pretty``
+    and the ``__mul__`` kernel, which hands scalars to ``_scale``.
+    """
 
     __slots__ = ("nvars", "_terms")
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict):
+        # Internal: terms must already be canonical (validated keys,
+        # normalized nonzero coefficients).
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", terms)
+        return self
+
+    # -- inspection --------------------------------------------------------
+
+    def items(self):
+        """Read-only view of (key, coefficient) pairs (unordered)."""
+        return self._terms.items()
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nvars == other.nvars and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, frozenset(self._terms.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.nvars}, {self.pretty()!r})"
+
+    # -- ring operations ----------------------------------------------------
+
+    def _check_arity(self, other: "TermMap") -> None:
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        self._check_arity(other)
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = out.get(key, 0) + coeff
+            if new == 0:
+                out.pop(key, None)
+            else:
+                out[key] = normalize_coeff(new)
+        return self._raw(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw(self.nvars, {k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def _scale(self, value: Coeff):
+        """The scalar multiple value*self."""
+        if value == 0:
+            return self._raw(self.nvars, {})
+        value = normalize_coeff(value)
+        return self._raw(
+            self.nvars, {k: normalize_coeff(c * value) for k, c in self._terms.items()}
+        )
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self._lift(1)
+        base = self
+        k = exponent
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+
+class SparsePoly(TermMap):
+    """Immutable sparse polynomial over the rationals."""
+
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coeff] | None = None):
         if nvars < 0:
@@ -97,9 +203,6 @@ class SparsePoly:
                     clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("SparsePoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -124,30 +227,18 @@ class SparsePoly:
         exps[index] = 1
         return cls(nvars, {tuple(exps): 1})
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponents, Coeff]) -> "SparsePoly":
-        # Internal: terms must already be canonical (validated exponents,
-        # normalized nonzero coefficients).
-        self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", terms)
-        return self
+    def _lift(self, other) -> "SparsePoly | None":
+        if isinstance(other, SparsePoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return SparsePoly.const(self.nvars, other)
+        return None
 
     # -- inspection --------------------------------------------------------
-
-    def items(self) -> Iterable[tuple[Exponents, Coeff]]:
-        """Read-only view of (exponents, coefficient) pairs (unordered)."""
-        return self._terms.items()
 
     def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in canonical (graded-lex descending) order."""
         return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -184,65 +275,11 @@ class SparsePoly:
                 out[exps[:index] + exps[index + 1 :]] = coeff
         return SparsePoly._raw(self.nvars - 1, out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"SparsePoly({self.nvars}, {self.pretty()!r})"
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check_arity(self, other: "SparsePoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(
-                f"variable-count mismatch: {self.nvars} vs {other.nvars}"
-            )
-
-    def __add__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.nvars, other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        self._check_arity(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = out.get(exps, 0) + coeff
-            if new == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = normalize_coeff(new)
-        return SparsePoly._raw(self.nvars, out)
-
-    def __radd__(self, other) -> "SparsePoly":
-        return self.__add__(other)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly._raw(self.nvars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.nvars, other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other) -> "SparsePoly":
-        return (-self).__add__(other)
+    # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return SparsePoly.zero(self.nvars)
-            other = normalize_coeff(other)
-            return SparsePoly._raw(
-                self.nvars,
-                {e: normalize_coeff(c * other) for e, c in self._terms.items()},
-            )
+            return self._scale(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_arity(other)
@@ -254,23 +291,6 @@ class SparsePoly:
         else:
             _mul_into(acc, a, _pack_terms(other, bits))
         return _unpack_terms(acc, self.nvars, bits)
-
-    def __rmul__(self, other) -> "SparsePoly":
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> "SparsePoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = SparsePoly.one(self.nvars)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -477,10 +497,11 @@ def poly_to_obj(poly: SparsePoly, var_names: Sequence[str] | None = None) -> dic
 
 def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
     try:
-        names = [str(v) for v in obj["vars"]]
-        raw_terms = obj["terms"]
+        names, raw_terms = obj["vars"], obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError("polynomial object needs 'vars' and 'terms'") from exc
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"polynomial 'vars' must be a list of names, got {names!r}")
     if not isinstance(raw_terms, list):
         raise ValueError(f"polynomial 'terms' must be a list, got {raw_terms!r}")
     nvars = len(names)
@@ -495,25 +516,8 @@ def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
         if exps in terms:
             raise ValueError(f"duplicate monomial in serialized polynomial: {exps}")
         terms[exps] = coeff
-    return SparsePoly(nvars, terms), names
+    return SparsePoly(nvars, terms), list(names)
 
 
 def poly_dumps(poly: SparsePoly, var_names: Sequence[str] | None = None) -> str:
     return json.dumps(poly_to_obj(poly, var_names), separators=(",", ":"))
-
-
-def poly_loads(text: str) -> tuple[SparsePoly, list[str]]:
-    return poly_from_obj(json.loads(text))
-
-
-def random_poly(rng, nvars: int, max_terms: int = 5, max_exp: int = 3,
-                coeff_range: int = 6) -> SparsePoly:
-    """Small random polynomial for property tests (exercises negative,
-    fractional and zero coefficients)."""
-    terms: dict[Exponents, Coeff] = {}
-    for _ in range(rng.randrange(max_terms + 1)):
-        exps = tuple(rng.randrange(max_exp + 1) for _ in range(nvars))
-        num = rng.randrange(-coeff_range, coeff_range + 1)
-        den = rng.randrange(1, 4)
-        terms[exps] = terms.get(exps, 0) + Fraction(num, den)
-    return SparsePoly(nvars, terms)

@@ -809,7 +809,8 @@ def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
     p = SoddyParams(*params)
     rep = constraint_report(p)
     triple = cosines_from_params(p)
-    ratios = graham_inverse(p)
+    m1, n1, m2, n2 = params
+    q1, q2 = m1 * m1 + n1 * n1, m2 * m2 + n2 * n2
     degenerate = False
     disc_square: Optional[bool] = None
     flowers = 0
@@ -826,8 +827,10 @@ def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
         degenerate,
         disc_square,
         flowers,
-        ratios.d1_over_x <= ratios.d2_over_x,
-        2 * ratios.m_over_x > ratios.d1_over_x,
+        # graham_inverse's d1/x <= d2/x and 2*m/x > d1/x, times the positive
+        # n1*n2*cross and n1*cross.
+        n2 * n2 * q1 <= n1 * n1 * q2,
+        2 * n1 * (n1 * n2 - m1 * m2) > n2 * q1,
     )
 
 

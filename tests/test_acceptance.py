@@ -24,8 +24,9 @@ from flowerlab.flowerpoly import (
     verify_specialization,
 )
 from flowerlab.geometry import FlowerConfig, validate_flower
-from flowerlab.mixedring import MixedElement, angle_sum_cos_sin, angle_sum_cos_sin_direct
+from flowerlab.mixedring import MixedElement, cos_sin_over_slots
 from flowerlab.ratpoly import SparsePoly, poly_dumps
+from oracles import angle_sum_cos_sin_direct
 
 F = Fraction
 
@@ -162,7 +163,7 @@ def test_criterion_05_general_recursion():
 def test_criterion_06_mixed_ring_identities():
     ok = True
     for n in range(1, 7):
-        ec, es = angle_sum_cos_sin(n)
+        ec, es = cos_sin_over_slots(n, range(n))
         ok = ok and (ec, es) == angle_sum_cos_sin_direct(n)
         ok = ok and ec * ec + es * es == MixedElement.one(n)
     report(6, "cos/sin expansions: recursive = direct, cos^2+sin^2 = 1 (n=1..6)", ok)

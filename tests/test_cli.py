@@ -2,6 +2,7 @@
 
 import io
 import json
+from itertools import product
 
 from flowerlab.cli import run
 from flowerlab.flowerpoly import flower_poly
@@ -114,6 +115,32 @@ def test_soddy_gen_solvable_params():
     assert code == 2
 
 
+def test_soddy_gen_degenerate_params_is_usage_error():
+    # m1*m2 = n1*n2 puts the third cosine at -1, where the radii system degenerates.
+    for params in (["1", "1", "1", "1"], ["2", "1", "1", "2"]):
+        code, out, err = call(["soddy-gen", "--params", *params])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: params") and "degenerate" in err
+
+
+def test_tolerance_must_be_finite_and_non_negative(capsys):
+    commands = [
+        ["soddy-gen", "--params", "1", "2", "2", "3"],
+        ["flower", "check", "6", "69", "46", "23"],
+        ["flower", "render", "6", "69", "46", "23", "--out", "-"],
+        ["discrepancy"],
+    ]
+    for argv in commands:
+        for tol in ("nan", "inf", "-inf", "-1e-9", "tiny"):
+            code, out, _ = call(argv + ["--tol", tol])
+            assert (code, out) == (2, "")
+            assert "--tol" in capsys.readouterr().err
+    code, out, _ = call(commands[0] + ["--tol", "0"])
+    assert code == 0
+    code, out, _ = call(commands[1] + ["--tol", "1e-6"])
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
 def test_soddy_scan_formats_and_workers(monkeypatch):
     code, out, err = call(["soddy-scan", "--bound", "3"])
     assert code == 0
@@ -153,6 +180,13 @@ def test_pyth_json_lines():
     assert [(s["x"], s["y"], s["z"]) for s in sols] == [(3, 4, 5), (4, 3, 5)]
     code, _, err = call(["pyth", "--beta", "12", "--bound", "5"])
     assert code == 2 and "square-free" in err
+
+
+def test_pyth_rejects_non_positive_beta():
+    for beta, flags in product(("0", "-3"), ([], ["--brute-force"])):
+        code, out, err = call(["pyth", "--beta", beta, "--bound", "10", *flags])
+        assert (code, out) == (2, "")
+        assert err == f"error: beta must be a positive integer, got {beta}\n"
 
 
 def test_flower_check_valid_and_invalid():

@@ -23,7 +23,7 @@ from flowerlab.flowerpoly import (
     verify_square,
     verify_symmetry,
 )
-from flowerlab.mixedring import MixedElement, SignVector, apply_sign, cos_sin_over_slots
+from flowerlab.mixedring import MixedElement, apply_sign, cos_sin_over_slots
 from flowerlab.ratpoly import SparsePoly, poly_dumps
 
 P1 = SparsePoly(1, {(1,): 1, (0,): -1})
@@ -122,7 +122,7 @@ def mixed_ring_step(prev: SparsePoly, n: int) -> SparsePoly:
     a = MixedElement.zero(n)
     for exps, coeff in prev.items():
         a = a + MixedElement(n, {(exps[:last] + (0, 0), 0): coeff}) * w_pow[exps[last]]
-    return (a * apply_sign(SignVector.generator(n, n - 2), a)).to_poly()
+    return (a * apply_sign(1 << (n - 2), a)).to_poly()
 
 
 def test_norm_form_matches_mixed_ring_step():

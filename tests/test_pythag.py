@@ -40,6 +40,13 @@ def test_classic_triples():
     assert generate_triples(1, 4) == []
 
 
+def test_non_positive_beta_is_rejected():
+    for beta in (0, -3):
+        for enumerate_triples in (brute_force_triples, generate_triples):
+            with pytest.raises(ValueError, match="beta must be a positive integer"):
+                enumerate_triples(beta, 10)
+
+
 def test_small_beta_examples():
     three = {s.triple() for s in generate_triples(3, 2)}
     assert (1, 1, 2) in three

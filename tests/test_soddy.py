@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import FlowerConfig, validate_flower
@@ -28,6 +30,7 @@ from flowerlab.soddy import (
     tangent_curvatures,
     worker_count,
 )
+from flowerlab.soddy import _scan_tuple
 
 F = Fraction
 
@@ -228,6 +231,24 @@ def test_graham_inverse_examples():
 def test_graham_inverse_identity_on_lattice():
     for t in product(range(1, 7), repeat=4):
         assert graham_inverse(SoddyParams(*t)).identity_holds
+
+
+def assert_scan_ratios_match_graham(params):
+    rec = _scan_tuple(params)
+    ratios = graham_inverse(SoddyParams(*params))
+    assert rec.d1_le_d2 == (ratios.d1_over_x <= ratios.d2_over_x)
+    assert rec.two_m_gt_d1 == (2 * ratios.m_over_x > ratios.d1_over_x)
+
+
+def test_scan_ratio_flags_match_graham_inverse_on_lattice():
+    for t in product(range(1, 9), repeat=4):
+        assert_scan_ratios_match_graham(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(1, 10**6)] * 4))
+def test_scan_ratio_flags_match_graham_inverse_on_large_entries(params):
+    assert_scan_ratios_match_graham(params)
 
 
 def test_square_root_reduction_identity():
