@@ -9,23 +9,25 @@ validate and draw a configuration given by radii.
 
 Conventions: results go to stdout (or ``--out``), diagnostics to stderr.
 Exit code 0 means success, 1 means a verification-style command found a
-failure, 2 means the invocation itself was bad (unknown flags, out-of-range
-sizes, malformed rationals).  Numeric inputs are exact rational strings
-like ``23/2``; floats appear only in tolerances and reports.
-FLOWERLAB_THREADS caps the worker count of the scan.
+failure, 2 means the invocation itself was bad (unknown flags, sizes beyond
+the ceiling ``flowerpoly.MAX_N``, malformed rationals), and 3 means an
+internal error: one ``internal error:`` line on stderr, no traceback.
+Numeric inputs are exact rational strings like ``23/2``; floats appear only
+in tolerances and reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import discrepancy, flowerpoly, geometry, pythag, soddy
-from .flowerpoly import DEFAULT_MAX_N, FlowerPolySet, SizeLimitError
+from .flowerpoly import MAX_N, FlowerPolySet, SizeLimitError
 from .ratpoly import parse_rational
 
 
@@ -75,7 +77,7 @@ def _cmd_pn(args, stdout, stderr) -> int:
         if args.route == "product":
             pn = flowerpoly.flower_poly_from_product(args.n)
         else:
-            pn = flowerpoly.flower_poly(args.n, args.max_n)
+            pn = flowerpoly.flower_poly(args.n)
     except (SizeLimitError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
@@ -88,7 +90,7 @@ def _cmd_pn(args, stdout, stderr) -> int:
 
 def _cmd_cn(args, stdout, stderr) -> int:
     try:
-        pn = flowerpoly.flower_poly(args.n, args.max_n)
+        pn = flowerpoly.flower_poly(args.n)
         cn = flowerpoly.closure_product_poly(args.n)
     except (SizeLimitError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -123,10 +125,8 @@ def _cmd_verify(args, stdout, stderr) -> int:
     }
     if args.all or not any(which.values()):
         which = {k: True for k in which}
-    # The checks build P_n under the default ceiling, so --max-n can only lower it.
-    top = min(args.max_n, DEFAULT_MAX_N)
-    if n < 2 or n > top:
-        raise UsageError(f"verify supports n in 2..{top}, got {n}")
+    if n < 2 or n > MAX_N:
+        raise UsageError(f"verify supports n in 2..{MAX_N}, got {n}")
 
     reports: list[flowerpoly.CheckReport] = []
     skipped: list[str] = []
@@ -224,30 +224,18 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
 def _cmd_soddy_scan(args, stdout, stderr) -> int:
     if args.bound < 1 or args.bound > 64:
         raise UsageError(f"scan bound must be in 1..64, got {args.bound}")
-    try:
-        workers = soddy.worker_count(args.workers)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    result = soddy.scan_lattice(args.bound, workers=workers)
+    result = soddy.scan_lattice(args.bound)
     if args.format == "csv":
-        buf = []
-        writer = csv.writer(_ListWriter(buf))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(soddy.ScanRecord.CSV_FIELDS)
         for rec in result.records:
             writer.writerow(rec.csv_row())
-        _emit("".join(buf), args.out, stdout)
+        _emit(buf.getvalue(), args.out, stdout)
     else:
         _emit(_json_text(result.to_obj()), args.out, stdout)
     stderr.write(f"scan summary: {json.dumps(result.summary)}\n")
     return 0
-
-
-class _ListWriter:
-    def __init__(self, sink: list):
-        self.sink = sink
-
-    def write(self, text: str) -> None:
-        self.sink.append(text)
 
 
 def _cmd_graham(args, stdout, stderr) -> int:
@@ -255,15 +243,15 @@ def _cmd_graham(args, stdout, stderr) -> int:
         raise UsageError("bound must be at least 1")
     records = soddy.graham_quadruples(args.bound)
     if args.format == "csv":
-        buf = []
-        writer = csv.writer(_ListWriter(buf))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(["x", "m", "d1", "d2", "b1", "b2", "b3", "b4", "degenerate"])
         for rec in records:
             writer.writerow(
                 [rec.params.x, rec.params.m, rec.params.d1, rec.params.d2,
                  *rec.quad.to_obj(), int(rec.degenerate)]
             )
-        _emit("".join(buf), args.out, stdout)
+        _emit(buf.getvalue(), args.out, stdout)
     else:
         lines = [json.dumps(rec.to_obj()) + "\n" for rec in records]
         _emit("".join(lines), args.out, stdout)
@@ -352,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pn", help="print the n-petal flower polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                   help="size ceiling override")
     p.add_argument("--route", choices=("recursive", "product"), default="recursive",
                    help="construction route (product is gated to n <= 5)")
     common(p)
@@ -361,13 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cn", help="print the closure polynomial (square of pn)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     common(p)
     p.set_defaults(func=_cmd_cn)
 
     p = sub.add_parser("verify", help="run structural identity checks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--all", action="store_true")
     p.add_argument("--square", action="store_true")
     p.add_argument("--symmetry", action="store_true")
@@ -386,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soddy-scan", help="audit the parameter lattice")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: FLOWERLAB_THREADS or 1)")
     common(p, fmt=("json", "csv"))
     p.set_defaults(func=_cmd_soddy_scan)
 
@@ -445,6 +427,11 @@ def run(argv, stdout=None, stderr=None) -> int:
         return 2
     except BrokenPipeError:  # pragma: no cover
         return 0
+    except Exception as exc:
+        # Exit 1 means "a check failed", so a crash gets a code of its own.
+        detail = " ".join(str(exc).split())
+        stderr.write(f"internal error: {type(exc).__name__}: {detail}\n")
+        return 3
 
 
 def main() -> None:

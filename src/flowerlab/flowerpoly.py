@@ -35,14 +35,14 @@ from typing import Optional, Sequence
 from .mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
 from .ratpoly import Coeff, Exponents, SparsePoly, norm_form
 
-# P_7 did not finish in over 14 minutes and 600 MB, so the default refuses it.
-DEFAULT_MAX_N = 6
+# P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
+MAX_N = 6
 
 TWO_PI = 2.0 * math.pi
 
 
 class SizeLimitError(ValueError):
-    """Requested petal count exceeds the configured ceiling."""
+    """Requested petal count exceeds the size ceiling ``MAX_N``."""
 
 
 _RECURSION_CACHE: dict[int, SparsePoly] = {}
@@ -100,20 +100,17 @@ def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
     return norm_form(p, q, d)
 
 
-def flower_poly(n: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
+def flower_poly(n: int) -> SparsePoly:
     """The n-variable flower polynomial, by the norm-form recursion.
 
     Monic of degree 2^(n-2) in each variable for n >= 2 and symmetric for
     n >= 3.  Term counts grow exponentially with n, so sizes beyond
-    ``max_n`` are refused rather than attempted.
+    ``MAX_N`` raise ``SizeLimitError`` rather than being attempted.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"petal count must be a positive integer, got {n}")
-    if n > max_n:
-        raise SizeLimitError(
-            f"n={n} exceeds the size ceiling {max_n}; "
-            "raise max_n explicitly if you really want this"
-        )
+    if n > MAX_N:
+        raise SizeLimitError(f"n={n} exceeds the size ceiling {MAX_N}")
     cached = _RECURSION_CACHE.get(n)
     if cached is not None:
         return cached
@@ -122,7 +119,7 @@ def flower_poly(n: int, max_n: int = DEFAULT_MAX_N) -> SparsePoly:
     elif n == 2:
         result = SparsePoly(2, {(0, 1): 1, (1, 0): -1})
     else:
-        result = _norm_form_step(flower_poly(n - 1, max_n), n)
+        result = _norm_form_step(flower_poly(n - 1), n)
     _RECURSION_CACHE[n] = result
     return result
 
@@ -270,7 +267,7 @@ def verify_monic(n: int) -> CheckReport:
     """Degree in every variable must be 2^(n-2); the leading coefficient is
     the constant 1 in every variable for n >= 3 (for n = 2 only the last
     variable carries +1, the first carries -1)."""
-    _check_n(n, 2, DEFAULT_MAX_N, "verify_monic")
+    _check_n(n, 2, MAX_N, "verify_monic")
     pn = flower_poly(n)
     want = 1 << (n - 2)
     for i in range(n):
@@ -291,7 +288,7 @@ def verify_monic(n: int) -> CheckReport:
 # -- numeric variety membership --------------------------------------------------
 
 
-def variety_residual(n: int, angles: Sequence[float], max_n: int = DEFAULT_MAX_N) -> float:
+def variety_residual(n: int, angles: Sequence[float]) -> float:
     """|flower polynomial at (cos a_1, ..., cos a_n)| for angles summing to 2*pi."""
     if n < 3:
         raise ValueError("need at least three angles")
@@ -301,7 +298,7 @@ def variety_residual(n: int, angles: Sequence[float], max_n: int = DEFAULT_MAX_N
         raise ValueError("angles must be positive")
     if abs(math.fsum(angles) - TWO_PI) > 1e-12:
         raise ValueError(f"angles sum to {math.fsum(angles)!r}, not 2*pi")
-    pn = flower_poly(n, max_n)
+    pn = flower_poly(n)
     return abs(pn.evaluate_float([math.cos(a) for a in angles]))
 
 

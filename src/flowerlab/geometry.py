@@ -4,12 +4,13 @@ A flower configuration is a center radius plus a cyclic list of petal radii,
 all exact rationals.  Validation separates two kinds of evidence:
 
 * exact: the consecutive-pair cosines (law of cosines, a degree-0
-  homogeneous expression in the radii) must zero the flower polynomial;
+  homogeneous expression in the radii) must zero the flower polynomial,
+  which is built only up to ``flowerpoly.MAX_N`` petals;
 * numeric: the center angles must actually sum to 2*pi.  The polynomial
   relation alone admits configurations on other angle branches (for example
   one angle equal to the sum of the others), so the angle sum is the
-  deciding check.  It is evaluated with 40-digit arithmetic against a float
-  tolerance.
+  deciding check.  It is evaluated with ``DPS``-digit arithmetic against a
+  float tolerance.
 
 For three petals each center angle of a genuine flower lies strictly
 between 90 and 180 degrees, i.e. its cosine lies in (-1, 0); that range is
@@ -24,8 +25,11 @@ from typing import Sequence
 
 from mpmath import mp
 
-from .flowerpoly import DEFAULT_MAX_N, flower_poly
+from .flowerpoly import flower_poly
 from .ratpoly import format_rational
+
+# Decimal digits of the mpmath arithmetic behind the angle sum and the layout.
+DPS = 40
 
 
 @dataclass(frozen=True)
@@ -102,23 +106,21 @@ def flower_cosines(config: FlowerConfig) -> tuple[Fraction, ...]:
     )
 
 
-def angle_sum_residual(cosines: Sequence[Fraction], dps: int = 40) -> float:
-    """|sum of arccos(cosines) - 2*pi| evaluated in high precision."""
-    with mp.workdps(dps):
+def angle_sum_residual(cosines: Sequence[Fraction]) -> float:
+    """|sum of arccos(cosines) - 2*pi| evaluated with ``DPS`` digits."""
+    with mp.workdps(DPS):
         total = mp.fsum(
             mp.acos(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in map(Fraction, cosines)
         )
         return float(abs(total - 2 * mp.pi))
 
 
-def validate_flower(
-    config: FlowerConfig, tol: float = 1e-9, max_n: int = DEFAULT_MAX_N
-) -> ValidationReport:
+def validate_flower(config: FlowerConfig, tol: float = 1e-9) -> ValidationReport:
     """Full validity check: exact polynomial membership, numeric angle sum,
     and (for three petals) the exact per-angle range."""
     n = config.n
     cosines = flower_cosines(config)
-    residual = flower_poly(n, max_n).evaluate(cosines)
+    residual = flower_poly(n).evaluate(cosines)
     sum_residual = angle_sum_residual(cosines)
     if n == 3:
         range_ok = tuple(Fraction(-1) < c < 0 for c in cosines)
@@ -167,7 +169,7 @@ def layout(config: FlowerConfig, tol: float = 1e-9) -> list[CirclePlacement]:
     if not report.valid:
         raise ValueError("not a valid flower: " + "; ".join(report.reasons))
     placements = [CirclePlacement(0.0, 0.0, float(config.center), True)]
-    with mp.workdps(40):
+    with mp.workdps(DPS):
         angles = [
             mp.acos(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in report.cosines
         ]

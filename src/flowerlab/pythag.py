@@ -34,23 +34,6 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def coprime_square_split(r: int, s: int) -> tuple[int, int]:
-    """For coprime r, s with r*s a perfect square, return (m, n) with
-    m^2 = r, n^2 = s and gcd(m, n) = 1."""
-    if r < 1 or s < 1:
-        raise ValueError("expected positive integers")
-    if gcd(r, s) != 1:
-        raise ValueError(f"gcd({r}, {s}) != 1")
-    t = isqrt(r * s)
-    if t * t != r * s:
-        raise ValueError(f"{r}*{s} is not a perfect square")
-    m, n = isqrt(r), isqrt(s)
-    if m * m != r or n * n != s:
-        # Cannot happen for coprime factors of a square; guards bad input.
-        raise ValueError(f"{r} and {s} are coprime but not both squares")
-    return m, n
-
-
 @dataclass(frozen=True)
 class Witness:
     b: int
@@ -91,9 +74,12 @@ class PythSolution:
 
 
 def _factor_pairs(beta: int) -> Iterator[tuple[int, int]]:
-    for b in range(1, beta + 1):
-        if beta % b == 0:
-            yield b, beta // b
+    """Every (b, c) with b*c = beta, in ascending b: trial division up to
+    isqrt(beta), the small divisors first, then their cofactors."""
+    small = [d for d in range(1, isqrt(beta) + 1) if beta % d == 0]
+    large = [beta // d for d in reversed(small) if d * d != beta]
+    for b in small + large:
+        yield b, beta // b
 
 
 def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:

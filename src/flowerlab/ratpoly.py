@@ -240,9 +240,6 @@ class SparsePoly(TermMap):
         """Terms in canonical (graded-lex descending) order."""
         return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self._terms.get(tuple(exps), 0)
 

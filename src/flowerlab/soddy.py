@@ -23,16 +23,16 @@ Contents:
   a triple, an integer curvature-quadruple generator with its side
   condition x^2 + m^2 = d1*d2, and the rational inverse mapping from the
   four-integer parametrization onto those generator ratios;
-* ``scan_lattice``: an exhaustive audit over the parameter lattice,
-  parallelizable across processes (FLOWERLAB_THREADS caps the workers).
+* ``scan_lattice``: an exhaustive serial audit over the parameter lattice,
+  one record per tuple in lexicographic order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -556,20 +556,16 @@ def solve_radii(cosines: CosTriple | Sequence, tol: float = 1e-9) -> SolveReport
     )
 
 
-def sweep_radii(
-    cosines: Sequence,
-    samples: int = 4000,
-    r_min: float = 1e-6,
-    r_max: float = 1e6,
-) -> list[tuple[float, float, float]]:
+def sweep_radii(cosines: Sequence) -> list[tuple[float, float, float]]:
     """Positive radii solutions found by float grid search plus bisection.
 
-    Independent of the exact solver: walks r_1 over a log grid, derives r_2
-    and r_3 from the first and third pairwise equations, and bisects sign
-    changes of the second equation's residual.  Spurious pole crossings are
-    rejected by re-checking the residual at the bisected point.  Returns
-    (r1, r2, r3) triples with all entries positive.
+    Independent of the exact solver: walks r_1 over a 4000-step log grid on
+    [1e-6, 1e6], derives r_2 and r_3 from the first and third pairwise
+    equations, and bisects sign changes of the second equation's residual.
+    Spurious pole crossings are rejected by re-checking the residual at the
+    bisected point.  Returns (r1, r2, r3) triples with all entries positive.
     """
+    samples, r_min, r_max = 4000, 1e-6, 1e6
     xs = [float(x) for x in (cosines.as_tuple() if isinstance(cosines, CosTriple) else cosines)]
     u = [(1.0 - x) / (1.0 + x) for x in xs]
     w = [ui * (ui + 1.0) for ui in u]
@@ -834,21 +830,6 @@ def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
     )
 
 
-def worker_count(explicit: Optional[int] = None) -> int:
-    """Resolve the worker cap: explicit argument, else FLOWERLAB_THREADS,
-    else 1 (serial).  A FLOWERLAB_THREADS that is not an integer is a
-    ValueError, not a silent fallback to serial."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("FLOWERLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"FLOWERLAB_THREADS must be an integer, got {env!r}") from None
-    return 1
-
-
 @dataclass(frozen=True)
 class ScanResult:
     bound: int
@@ -860,27 +841,15 @@ class ScanResult:
                 "records": [r.to_obj() for r in self.records]}
 
 
-def scan_lattice(bound: int, workers: Optional[int] = None) -> ScanResult:
+def scan_lattice(bound: int) -> ScanResult:
     """Audit every parameter tuple with entries in 1..bound.
 
-    Records are always in lexicographic parameter order, whatever the
-    worker count; the summary tallies how the constraint set relates to
-    square discriminants, solvable flowers, and the two generator
-    inequalities."""
+    Records are in lexicographic parameter order; the summary tallies how
+    the constraint set relates to square discriminants, solvable flowers,
+    and the two generator inequalities."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    from itertools import product
-
-    tuples = list(product(range(1, bound + 1), repeat=4))
-    nworkers = worker_count(workers)
-    if nworkers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(16, len(tuples) // (nworkers * 8))
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            records = list(pool.map(_scan_tuple, tuples, chunksize=chunk))
-    else:
-        records = [_scan_tuple(t) for t in tuples]
+    records = [_scan_tuple(t) for t in product(range(1, bound + 1), repeat=4)]
     passing = [r for r in records if r.all_pass]
     summary = {
         "total": len(records),

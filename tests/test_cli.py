@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, stream discipline, formats, determinism."""
 
+import argparse
 import io
 import json
 from itertools import product
 
-from flowerlab.cli import run
+from flowerlab import cli
+from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.ratpoly import poly_from_obj
 
@@ -60,11 +62,7 @@ def test_size_ceiling_is_usage_error():
     assert code == 2
     assert "ceiling" in err
     assert out == ""
-    # ceiling override is honored for the gate
-    code, _, err = call(["pn", "--n", "8", "--max-n", "5"])
-    assert code == 2
-    # verify's checks build under the default ceiling, whatever --max-n says
-    code, _, err = call(["verify", "--n", "7", "--max-n", "7"])
+    code, _, err = call(["verify", "--n", "7"])
     assert code == 2 and "2..6" in err
 
 
@@ -141,7 +139,7 @@ def test_tolerance_must_be_finite_and_non_negative(capsys):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
-def test_soddy_scan_formats_and_workers(monkeypatch):
+def test_soddy_scan_formats():
     code, out, err = call(["soddy-scan", "--bound", "3"])
     assert code == 0
     obj = json.loads(out)
@@ -151,13 +149,7 @@ def test_soddy_scan_formats_and_workers(monkeypatch):
     lines = csv_out.strip().splitlines()
     assert lines[0].startswith("m1,n1,m2,n2,")
     assert len(lines) == 82
-    monkeypatch.setenv("FLOWERLAB_THREADS", "2")
-    code, out2, _ = call(["soddy-scan", "--bound", "3"])
-    assert out2 == out
-    monkeypatch.setenv("FLOWERLAB_THREADS", "abc")
-    code, out3, err = call(["soddy-scan", "--bound", "3"])
-    assert (code, out3) == (2, "")
-    assert "FLOWERLAB_THREADS" in err and "Traceback" not in err
+    assert csv_out.count("\r\n") == 82 and csv_out.endswith("\r\n")  # csv module line ends
 
 
 def test_graham_output():
@@ -167,6 +159,7 @@ def test_graham_output():
     assert all({"x", "m", "d1", "d2", "curvatures", "degenerate"} <= set(r) for r in records)
     code, csv_out, _ = call(["graham", "--bound", "6", "--format", "csv"])
     assert csv_out.splitlines()[0] == "x,m,d1,d2,b1,b2,b3,b4,degenerate"
+    assert csv_out.count("\r\n") == len(records) + 1 and "\n" not in csv_out.replace("\r\n", "")
 
 
 def test_pyth_json_lines():
@@ -180,6 +173,11 @@ def test_pyth_json_lines():
     assert [(s["x"], s["y"], s["z"]) for s in sols] == [(3, 4, 5), (4, 3, 5)]
     code, _, err = call(["pyth", "--beta", "12", "--bound", "5"])
     assert code == 2 and "square-free" in err
+
+
+def test_pyth_ten_digit_beta():
+    code, out, err = call(["pyth", "--beta", "9999999967", "--bound", "10"])
+    assert (code, out, err) == (0, "", "")
 
 
 def test_pyth_rejects_non_positive_beta():
@@ -250,3 +248,54 @@ def test_determinism():
     a = call(["graham", "--bound", "8"])
     b = call(["graham", "--bound", "8"])
     assert a == b
+
+
+def test_unexpected_exception_is_internal_error():
+    # A 901-digit center radius makes the residual too long for str(): a
+    # crash, which must not read as exit 1 ("invalid flower").
+    code, out, err = call(["flower", "check", "1" + "0" * 900, "2", "3", "4"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ValueError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_handler_crash_is_internal_error(monkeypatch):
+    def crash(args, stdout, stderr):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_graham", crash)
+    code, out, err = call(["graham", "--bound", "3"])
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom second line\n")
+
+
+# Every flag and positional of every subcommand.  A new option shows up here
+# as a test diff.
+OPTION_SURFACE = {
+    "pn": ["--format", "--n", "--out", "--route"],
+    "cn": ["--format", "--n", "--out"],
+    "verify": ["--all", "--format", "--monic", "--n", "--out", "--recursion",
+               "--specialization", "--square", "--symmetry"],
+    "soddy-gen": ["--format", "--out", "--params", "--tol"],
+    "soddy-scan": ["--bound", "--format", "--out"],
+    "graham": ["--bound", "--format", "--out"],
+    "pyth": ["--beta", "--bound", "--brute-force", "--format", "--out"],
+    "flower check": ["--format", "--out", "--tol", "radii"],
+    "flower render": ["--out", "--tol", "radii"],
+    "discrepancy": ["--format", "--out", "--tol"],
+}
+
+
+def _option_surface(parser, prefix=""):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        options = [opt for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                   for opt in (a.option_strings or [a.dest])]
+        return {prefix.strip(): sorted(options)}
+    surface = {}
+    for name, sub in subs[0].choices.items():
+        surface.update(_option_surface(sub, f"{prefix}{name} "))
+    return surface
+
+
+def test_option_surface():
+    assert _option_surface(build_parser()) == OPTION_SURFACE

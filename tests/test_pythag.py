@@ -2,9 +2,9 @@
 
 import pytest
 
+from flowerlab import pythag
 from flowerlab.pythag import (
     brute_force_triples,
-    coprime_square_split,
     generate_triples,
     is_squarefree,
 )
@@ -18,18 +18,6 @@ def test_is_squarefree():
     assert is_squarefree(2 * 3 * 5 * 7)
     with pytest.raises(ValueError):
         is_squarefree(0)
-
-
-def test_coprime_square_split():
-    assert coprime_square_split(4, 9) == (2, 3)
-    assert coprime_square_split(1, 25) == (1, 5)
-    assert coprime_square_split(49, 64) == (7, 8)
-    with pytest.raises(ValueError):
-        coprime_square_split(8, 2)  # common factor
-    with pytest.raises(ValueError):
-        coprime_square_split(2, 3)  # product not a square
-    with pytest.raises(ValueError):
-        coprime_square_split(0, 4)
 
 
 def test_classic_triples():
@@ -100,3 +88,24 @@ def test_solutions_are_sorted_and_merged():
     keys = [(s.z, s.x, s.y) for s in sols]
     assert keys == sorted(keys)
     assert len({s.triple() for s in sols}) == len(sols)
+
+
+def _factor_pairs_by_full_scan(beta):
+    # Reference enumeration: trial division by every b in 1..beta.  Witness
+    # order inside a triple follows the b order, so _factor_pairs must keep it.
+    for b in range(1, beta + 1):
+        if beta % b == 0:
+            yield b, beta // b
+
+
+def test_factor_pairs_match_the_full_scan():
+    for beta in range(1, 3000):
+        assert list(pythag._factor_pairs(beta)) == list(_factor_pairs_by_full_scan(beta))
+
+
+def test_triples_match_the_full_scan_enumeration(monkeypatch):
+    betas = [b for b in range(1, 80) if is_squarefree(b)]
+    fast = [[s.to_obj() for s in generate_triples(b, 120)] for b in betas]
+    monkeypatch.setattr(pythag, "_factor_pairs", _factor_pairs_by_full_scan)
+    assert fast == [[s.to_obj() for s in generate_triples(b, 120)] for b in betas]
+

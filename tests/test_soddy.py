@@ -28,7 +28,6 @@ from flowerlab.soddy import (
     sqrt_exact,
     sweep_radii,
     tangent_curvatures,
-    worker_count,
 )
 from flowerlab.soddy import _scan_tuple
 
@@ -271,8 +270,6 @@ def test_scan_lattice_summary_and_determinism():
     assert res.summary["total"] == 625
     assert len(res.records) == 625
     assert [r.params for r in res.records] == sorted(r.params for r in res.records)
-    res2 = scan_lattice(5, workers=2)
-    assert res.records == res2.records and res.summary == res2.summary
     with pytest.raises(ValueError):
         scan_lattice(0)
 
@@ -304,19 +301,6 @@ def test_scan_findings_at_recorded_bound():
     assert 0 < res.summary["pass_2m_gt_d1"] < res.summary["constraint_pass"]
     assert res.summary["solvable_total"] > 0
     assert res.summary["solvable_and_constraint_pass"] == 0
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("FLOWERLAB_THREADS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(3) == 3
-    monkeypatch.setenv("FLOWERLAB_THREADS", "4")
-    assert worker_count() == 4
-    for junk in ("junk", "0x2", "2.5"):
-        monkeypatch.setenv("FLOWERLAB_THREADS", junk)
-        with pytest.raises(ValueError, match="FLOWERLAB_THREADS"):
-            worker_count()
-    assert worker_count(2) == 2  # an explicit count does not read the variable
 
 
 def test_valid_solutions_satisfy_descartes():
