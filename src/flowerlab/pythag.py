@@ -11,6 +11,9 @@ for mixed parity.  Witness combinations whose halved forms are not integers
 are skipped; ``brute_force_triples`` is the exhaustive oracle that confirms
 nothing is lost that way.  Distinct witnesses for one (x, y, z) are merged,
 keeping every witness.
+
+Finding the factor pairs of beta and testing it for square-freeness both
+trial-divide up to sqrt(beta), so beta is capped at ``MAX_BETA``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
+
+# Largest accepted beta: trial division up to sqrt(10**12) takes about a
+# tenth of a second, and the cost grows as sqrt(beta).
+MAX_BETA = 10**12
+
+
+def _check_beta(beta: int) -> None:
+    if beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta}")
+    if beta > MAX_BETA:
+        raise ValueError(f"beta must be at most {MAX_BETA}, got {beta}")
 
 
 def is_squarefree(n: int) -> bool:
@@ -84,8 +98,7 @@ def _factor_pairs(beta: int) -> Iterator[tuple[int, int]]:
 
 def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:
     """All primitive solutions with z <= z_bound, each with its witnesses."""
-    if beta < 1:
-        raise ValueError(f"beta must be a positive integer, got {beta}")
+    _check_beta(beta)
     if not is_squarefree(beta):
         raise ValueError(f"beta = {beta} is not square-free")
     if z_bound < 1:
@@ -130,8 +143,7 @@ def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:
 def brute_force_triples(beta: int, z_bound: int) -> set[tuple[int, int, int]]:
     """Exhaustive oracle: scan x < z <= z_bound, solve for y, keep pairwise
     coprime solutions."""
-    if beta < 1:
-        raise ValueError(f"beta must be a positive integer, got {beta}")
+    _check_beta(beta)
     if z_bound < 1:
         raise ValueError("bound must be at least 1")
     out: set[tuple[int, int, int]] = set()

@@ -14,6 +14,12 @@ with 0.
 Multiplication works on exponent tuples packed into single int keys
 (``pack_exponents``) and unpacks its result once, on the way out.
 
+Exact evaluation clears denominators up front: every coordinate p/q and
+every coefficient is brought over one common integer denominator, the terms
+are summed as plain ints, and the single division (with its one gcd) comes
+last.  Summing ``Fraction`` terms instead pays a gcd on every product and
+every partial sum.
+
 Canonical term order is graded lexicographic, descending: higher total
 degree first, ties broken lexicographically on the exponent tuple with the
 first variable strongest.  Serialization always uses this order, so two
@@ -26,7 +32,9 @@ function; instances can be shared freely between threads or processes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -292,26 +300,44 @@ class SparsePoly(TermMap):
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
-        """Exact value at a rational point; a ring homomorphism Q[x] -> Q."""
+        """Exact value at a rational point; a ring homomorphism Q[x] -> Q.
+
+        Integer-cleared: with x_i = p_i/q_i, d_i the largest exponent of
+        x_i and L the lcm of the coefficient denominators, the value is
+
+            sum (c*L) * prod T_i[e_i]  /  (L * prod q_i^d_i),
+
+        where T_i[e] = p_i^e * q_i^(d_i - e) is tabulated once per call.  The
+        sum runs over plain ints and the one division happens at the end.
+        It is folded Horner-style, one variable at a time from the last:
+        terms that agree on the exponents still to be folded are summed
+        first, so the factors they share are multiplied in once.
+        """
         if len(point) != self.nvars:
             raise ValueError(
                 f"point length {len(point)} does not match variable count {self.nvars}"
             )
         values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in point]
-        powers: list[dict[int, Coeff]] = [{} for _ in range(self.nvars)]
-        total: Coeff = 0
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    p = cache.get(e)
-                    if p is None:
-                        p = values[i] ** e
-                        cache[e] = p
-                    term = term * p
-            total = total + term
-        return Fraction(total)
+        terms = self._terms
+        if not terms:
+            return Fraction(0)
+        scale = math.lcm(*map(attrgetter("denominator"), terms.values()))
+        # Normalized coefficients are ints exactly when scale is 1.
+        level = terms if scale == 1 else {
+            exps: c.numerator * (scale // c.denominator) for exps, c in terms.items()
+        }
+        denominator = scale
+        for i in reversed(range(self.nvars)):
+            p, q = values[i].numerator, values[i].denominator
+            d = max(map(itemgetter(i), level))
+            table = [p**e * q ** (d - e) for e in range(d + 1)]
+            denominator *= q**d
+            folded: dict[Exponents, int] = {}
+            for exps, value in level.items():
+                key = exps[:i]
+                folded[key] = folded.get(key, 0) + value * table[exps[i]]
+            level = folded
+        return Fraction(level[()], denominator)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         """Floating-point value at a real point."""

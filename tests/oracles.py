@@ -1,6 +1,9 @@
 """Independent constructions the tests check the library against."""
 
+from fractions import Fraction
+
 from flowerlab.mixedring import MixedElement
+from flowerlab.ratpoly import SparsePoly
 
 
 def angle_sum_cos_sin_direct(n: int) -> tuple[MixedElement, MixedElement]:
@@ -18,3 +21,27 @@ def angle_sum_cos_sin_direct(n: int) -> tuple[MixedElement, MixedElement]:
         sign = -1 if (sines // 2) % 2 else 1
         (sin_terms if sines % 2 else cos_terms)[(exps, mask)] = sign
     return MixedElement(n, cos_terms), MixedElement(n, sin_terms)
+
+
+def evaluate_by_fractions(poly: SparsePoly, point) -> Fraction:
+    """Exact value of ``poly`` at ``point``, summed term by term in
+    ``Fraction`` arithmetic (each coordinate power computed once)."""
+    if len(point) != poly.nvars:
+        raise ValueError(
+            f"point length {len(point)} does not match variable count {poly.nvars}"
+        )
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in point]
+    powers = [{} for _ in range(poly.nvars)]
+    total = 0
+    for exps, coeff in poly.items():
+        term = coeff
+        for i, e in enumerate(exps):
+            if e:
+                cache = powers[i]
+                p = cache.get(e)
+                if p is None:
+                    p = values[i] ** e
+                    cache[e] = p
+                term = term * p
+        total = total + term
+    return Fraction(total)

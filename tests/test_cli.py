@@ -1,14 +1,17 @@
 """CLI behavior: exit codes, stream discipline, formats, determinism."""
 
 import argparse
+import dataclasses
 import io
 import json
+import time
 from itertools import product
 
-from flowerlab import cli
+from flowerlab import cli, geometry
 from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.ratpoly import poly_from_obj
+from oracles import evaluate_by_fractions
 
 
 def call(argv, env=None, monkeypatch=None):
@@ -180,6 +183,14 @@ def test_pyth_ten_digit_beta():
     assert (code, out, err) == (0, "", "")
 
 
+def test_pyth_beta_above_the_ceiling_is_usage_error():
+    start = time.perf_counter()
+    code, out, err = call(["pyth", "--beta", "10000000000000000037", "--bound", "10"])
+    assert (code, out) == (2, "")
+    assert err == "error: beta must be at most 1000000000000, got 10000000000000000037\n"
+    assert time.perf_counter() - start < 0.5
+
+
 def test_pyth_rejects_non_positive_beta():
     for beta, flags in product(("0", "-3"), ([], ["--brute-force"])):
         code, out, err = call(["pyth", "--beta", beta, "--bound", "10", *flags])
@@ -197,6 +208,17 @@ def test_flower_check_valid_and_invalid():
     assert json.loads(out)["valid"] is False
     code, out, _ = call(["flower", "check", "1", "23/2", "23/3", "23/6"])
     assert code == 0
+
+
+def test_flower_check_six_petals_matches_the_oracle_report():
+    radii = ["236", "236", "236", "237", "236", "236", "236"]
+    code, out, _ = call(["flower", "check", *radii])
+    config = geometry.FlowerConfig(236, (236, 236, 237, 236, 236, 236))
+    report = geometry.validate_flower(config)
+    residual = evaluate_by_fractions(flower_poly(6), report.cosines)
+    expected = dataclasses.replace(report, variety_residual=residual).to_obj()
+    assert code == 1
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_flower_check_usage_errors():

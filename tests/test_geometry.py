@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import (
     CirclePlacement,
     FlowerConfig,
@@ -15,6 +16,7 @@ from flowerlab.geometry import (
     render_svg,
     validate_flower,
 )
+from oracles import evaluate_by_fractions
 
 F = Fraction
 
@@ -94,6 +96,46 @@ def test_variety_zero_does_not_imply_flower():
     report = validate_flower(FlowerConfig(F(649), (F(16874), F(3186), F(3861))))
     assert not report.valid
     assert report.variety_residual != 0
+
+
+def near_regular_radii(rng, n, bits):
+    """Integer radii within 1% of a regular n-petal flower (center first)."""
+    center = rng.getrandbits(bits) | (1 << (bits - 1))
+    s = math.sin(math.pi / n)
+    scaled = [round(10**6 * s / (1 - s) * (1 + rng.uniform(-0.01, 0.01))) for _ in range(n)]
+    return [center] + [max(1, center * v // 10**6) for v in scaled]
+
+
+def hexagon_radii(k, bumped=None):
+    """A regular six-petal flower of radius-k coins, optionally with one
+    petal one unit larger."""
+    radii = [k] * 7
+    if bumped is not None:
+        radii[bumped] += 1
+    return radii
+
+
+def test_variety_residual_matches_the_fraction_oracle():
+    rng = random.Random(8)
+    near = [near_regular_radii(rng, n, bits) for n in (4, 5) for bits in (8, 24, 60)]
+    near.append(near_regular_radii(rng, 6, 16))
+    bumped = [hexagon_radii(236, 2), hexagon_radii(17, 6)]
+    for radii in near + bumped:
+        report = validate_flower(FlowerConfig(radii[0], tuple(radii[1:])))
+        oracle = evaluate_by_fractions(flower_poly(len(radii) - 1), report.cosines)
+        assert report.variety_residual == oracle
+        assert not report.valid
+        # A bumped petal changes two equal cosines, and t - t cancels in a
+        # signed angle sum, so a bumped hexagon stays on the variety; its
+        # angle sum is what fails.
+        assert (oracle == 0) == (radii in bumped)
+
+
+def test_regular_hexagon_is_exactly_on_the_variety():
+    for k in (1, 17, 254):
+        report = validate_flower(FlowerConfig(k, (k,) * 6))
+        assert report.variety_residual == 0 and type(report.variety_residual) is F
+        assert report.valid
 
 
 def test_layout_positions_and_tangency():

@@ -35,6 +35,15 @@ def test_non_positive_beta_is_rejected():
                 enumerate_triples(beta, 10)
 
 
+def test_beta_above_the_ceiling_is_rejected():
+    for enumerate_triples in (brute_force_triples, generate_triples):
+        with pytest.raises(ValueError, match=f"beta must be at most {pythag.MAX_BETA}"):
+            enumerate_triples(pythag.MAX_BETA + 1, 10)
+    assert brute_force_triples(pythag.MAX_BETA, 10) == set()
+    # 999999999989 is the largest prime below the ceiling.
+    assert generate_triples(999999999989, 10) == []
+
+
 def test_small_beta_examples():
     three = {s.triple() for s in generate_triples(3, 2)}
     assert (1, 1, 2) in three

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowerlab.ratpoly import (
     SparsePoly,
@@ -14,6 +16,7 @@ from flowerlab.ratpoly import (
     poly_from_obj,
     poly_to_obj,
 )
+from oracles import evaluate_by_fractions
 
 F = Fraction
 
@@ -77,6 +80,43 @@ def test_evaluate_known_roots():
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
         P3.evaluate([F(1), F(1)])
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-10**9, 10**9),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+COORDINATES = st.one_of(
+    st.just(0),
+    st.integers(-10**12, 10**12),
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+)
+
+
+def poly_and_point(nvars):
+    monomials = st.tuples(*[st.integers(0, 6)] * nvars)
+    return st.tuples(
+        st.builds(SparsePoly, st.just(nvars), st.dictionaries(monomials, COEFFICIENTS, max_size=8)),
+        st.lists(COORDINATES, min_size=nvars, max_size=nvars),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(poly_and_point))
+@example((SparsePoly.zero(2), [F(-1, 10**30), 0]))
+@example((SparsePoly.const(3, F(-7, 3)), [0, -5, F(2, 3)]))
+@example((SparsePoly.const(0, F(5, 4)), []))
+@example((SparsePoly(2, {(3, 0): F(1, 6), (0, 2): F(-3, 4), (1, 1): 2}), [F(-5, 7), -3]))
+def test_evaluate_matches_the_fraction_oracle(case):
+    poly, point = case
+    value = poly.evaluate(point)
+    assert type(value) is Fraction
+    assert value == evaluate_by_fractions(poly, point)
+
+
+def test_evaluate_coerces_other_coordinates():
+    poly = SparsePoly(2, {(2, 1): F(1, 3), (0, 0): -1})
+    assert poly.evaluate([0.5, "2/7"]) == evaluate_by_fractions(poly, [F(1, 2), F(2, 7)])
 
 
 def test_permute_swap_negates_difference():
