@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import discrepancy, flowerpoly, geometry, pythag, soddy
 from .flowerpoly import MAX_N, FlowerPolySet, SizeLimitError
@@ -57,16 +58,32 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _emit(text: str, out_path: str | None, stdout) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None, stdout) -> None:
+    """Write ``chunks`` in order to ``out_path`` (stdout when absent or ``-``).
+    Callers compute their result first, so an error never leaves a partial
+    file; only formatting happens between writes."""
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        stdout.write(text)
+        stdout.writelines(chunks)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _json_chunks(obj) -> tuple[str, str]:
+    return json.dumps(obj, indent=2), "\n"
+
+
+class _Echo:
+    """A file whose ``write`` hands the text back, so ``csv.writer`` rows
+    can be yielded as chunks."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_chunks(header, rows) -> Iterator[str]:
+    """CSV text with ``\\r\\n`` line ends, one chunk per row."""
+    return map(csv.writer(_Echo()).writerow, chain([header], rows))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -81,26 +98,29 @@ def _cmd_pn(args, stdout, stderr) -> int:
     except (SizeLimitError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
-        _emit(pn.pretty() + "\n", args.out, stdout)
+        _emit((pn.pretty(), "\n"), args.out, stdout)
     else:
         bundle = FlowerPolySet(args.n, pn, provenance={"pn": args.route})
-        _emit(_json_text(bundle.to_obj()), args.out, stdout)
+        _emit(chain(bundle.json_chunks(), ("\n",)), args.out, stdout)
     return 0
 
 
 def _cmd_cn(args, stdout, stderr) -> int:
+    if args.n < 2:
+        # Only from n = 2 on is the closure product the square of P_n.
+        raise UsageError(f"cn needs n >= 2, got {args.n}")
     try:
         pn = flowerpoly.flower_poly(args.n)
         cn = flowerpoly.closure_product_poly(args.n)
     except (SizeLimitError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
-        _emit(cn.pretty() + "\n", args.out, stdout)
+        _emit((cn.pretty(), "\n"), args.out, stdout)
     else:
         bundle = FlowerPolySet(
             args.n, pn, cn, provenance={"pn": "recursive", "cn": "definitional"}
         )
-        _emit(_json_text(bundle.to_obj()), args.out, stdout)
+        _emit(chain(bundle.json_chunks(), ("\n",)), args.out, stdout)
     return 0
 
 
@@ -170,14 +190,14 @@ def _cmd_verify(args, stdout, stderr) -> int:
         payload = [
             {"check": r.name, "n": r.n, "ok": r.ok, "detail": r.detail} for r in reports
         ]
-        _emit(_json_text(payload), args.out, stdout)
+        _emit(_json_chunks(payload), args.out, stdout)
     else:
         lines = []
         for r in reports:
             status = "ok" if r.ok else "FAIL"
             detail = f" ({r.detail})" if r.detail else ""
             lines.append(f"{status} {r.name} n={r.n}{detail}\n")
-        _emit("".join(lines), args.out, stdout)
+        _emit(lines, args.out, stdout)
     return 0 if ok else 1
 
 
@@ -215,9 +235,9 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
             f"constraints hold: {constraints.all_hold}",
             f"valid flowers: {[f.to_obj() for f in solved.valid_flowers]}",
         ]
-        _emit("\n".join(lines) + "\n", args.out, stdout)
+        _emit(("\n".join(lines), "\n"), args.out, stdout)
     else:
-        _emit(_json_text(payload), args.out, stdout)
+        _emit(_json_chunks(payload), args.out, stdout)
     return 0
 
 
@@ -226,14 +246,10 @@ def _cmd_soddy_scan(args, stdout, stderr) -> int:
         raise UsageError(f"scan bound must be in 1..64, got {args.bound}")
     result = soddy.scan_lattice(args.bound)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(soddy.ScanRecord.CSV_FIELDS)
-        for rec in result.records:
-            writer.writerow(rec.csv_row())
-        _emit(buf.getvalue(), args.out, stdout)
+        rows = (rec.csv_row() for rec in result.records)
+        _emit(_csv_chunks(soddy.ScanRecord.CSV_FIELDS, rows), args.out, stdout)
     else:
-        _emit(_json_text(result.to_obj()), args.out, stdout)
+        _emit(chain(result.json_chunks(), ("\n",)), args.out, stdout)
     stderr.write(f"scan summary: {json.dumps(result.summary)}\n")
     return 0
 
@@ -243,18 +259,12 @@ def _cmd_graham(args, stdout, stderr) -> int:
         raise UsageError("bound must be at least 1")
     records = soddy.graham_quadruples(args.bound)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["x", "m", "d1", "d2", "b1", "b2", "b3", "b4", "degenerate"])
-        for rec in records:
-            writer.writerow(
-                [rec.params.x, rec.params.m, rec.params.d1, rec.params.d2,
-                 *rec.quad.to_obj(), int(rec.degenerate)]
-            )
-        _emit(buf.getvalue(), args.out, stdout)
+        header = ["x", "m", "d1", "d2", "b1", "b2", "b3", "b4", "degenerate"]
+        rows = ([rec.params.x, rec.params.m, rec.params.d1, rec.params.d2,
+                 *rec.quad.to_obj(), int(rec.degenerate)] for rec in records)
+        _emit(_csv_chunks(header, rows), args.out, stdout)
     else:
-        lines = [json.dumps(rec.to_obj()) + "\n" for rec in records]
-        _emit("".join(lines), args.out, stdout)
+        _emit((json.dumps(rec.to_obj()) + "\n" for rec in records), args.out, stdout)
     return 0
 
 
@@ -262,16 +272,12 @@ def _cmd_pyth(args, stdout, stderr) -> int:
     try:
         if args.brute_force:
             triples = sorted(pythag.brute_force_triples(args.beta, args.bound))
-            lines = [
-                json.dumps({"beta": args.beta, "x": x, "y": y, "z": z}) + "\n"
-                for x, y, z in triples
-            ]
+            objs = ({"beta": args.beta, "x": x, "y": y, "z": z} for x, y, z in triples)
         else:
-            solutions = pythag.generate_triples(args.beta, args.bound)
-            lines = [json.dumps(s.to_obj()) + "\n" for s in solutions]
+            objs = (s.to_obj() for s in pythag.generate_triples(args.beta, args.bound))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _emit("".join(lines), args.out, stdout)
+    _emit((json.dumps(obj) + "\n" for obj in objs), args.out, stdout)
     return 0
 
 
@@ -293,9 +299,9 @@ def _cmd_flower_check(args, stdout, stderr) -> int:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
         verdict = "valid" if report.valid else "invalid: " + "; ".join(report.reasons)
-        _emit(verdict + "\n", args.out, stdout)
+        _emit((verdict, "\n"), args.out, stdout)
     else:
-        _emit(_json_text(report.to_obj()), args.out, stdout)
+        _emit(_json_chunks(report.to_obj()), args.out, stdout)
     return 0 if report.valid else 1
 
 
@@ -306,7 +312,7 @@ def _cmd_flower_render(args, stdout, stderr) -> int:
     except (ValueError, SizeLimitError) as exc:
         raise UsageError(str(exc)) from exc
     svg = geometry.render_svg(placements)
-    _emit(svg, args.out, stdout)
+    _emit((svg,), args.out, stdout)
     return 0
 
 
@@ -315,7 +321,7 @@ def _cmd_discrepancy(args, stdout, stderr) -> int:
         "radius_example": discrepancy.radius_example_report(tol=args.tol),
         "radius_expansion": discrepancy.radius_expansion_report(),
     }
-    _emit(_json_text(payload), args.out, stdout)
+    _emit(_json_chunks(payload), args.out, stdout)
     ok = (
         payload["radius_example"]["internal_agreement"]["all"]
         and payload["radius_expansion"]["computed_symmetric"]

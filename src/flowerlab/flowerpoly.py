@@ -27,13 +27,14 @@ symmetric under rotating or reversing the petal radii.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
-from .ratpoly import Coeff, Exponents, SparsePoly, norm_form
+from .ratpoly import Coeff, Exponents, SparsePoly, norm_form, poly_json_chunks
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
 MAX_N = 6
@@ -400,3 +401,14 @@ class FlowerPolySet:
         }
         out["cn"] = poly_to_obj(self.cn) if self.cn is not None else None
         return out
+
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_obj(), indent=2)`` in chunks, the
+        polynomials term by term (``poly_json_chunks``)."""
+        head = json.dumps({"n": self.n, "provenance": dict(self.provenance)}, indent=2)
+        # head[:-2] drops the closing "\n}", so more keys can follow.
+        yield head[:-2] + ',\n  "pn": '
+        yield from poly_json_chunks(self.pn, 1)
+        yield ',\n  "cn": '
+        yield from ("null",) if self.cn is None else poly_json_chunks(self.cn, 1)
+        yield "\n}"

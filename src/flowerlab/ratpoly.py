@@ -23,7 +23,9 @@ every partial sum.
 Canonical term order is graded lexicographic, descending: higher total
 degree first, ties broken lexicographically on the exponent tuple with the
 first variable strongest.  Serialization always uses this order, so two
-equal polynomials serialize identically.
+equal polynomials serialize identically.  ``poly_json_chunks`` writes the
+indented JSON of ``poly_to_obj`` term by term, for polynomials too large to
+build as a dict tree first.
 
 All values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads or processes.
@@ -35,7 +37,7 @@ import json
 import math
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coeff = int | Fraction
@@ -516,6 +518,29 @@ def poly_to_obj(poly: SparsePoly, var_names: Sequence[str] | None = None) -> dic
             {"c": format_rational(c), "e": list(e)} for e, c in poly.sorted_terms()
         ],
     }
+
+
+def nested_json(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2)`` as it sits ``depth`` levels deep in an
+    indented document.  JSON text holds no raw newline inside a string, so
+    indenting every line after the first is exact."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def poly_json_chunks(poly: SparsePoly, depth: int = 0) -> Iterator[str]:
+    """``json.dumps(poly_to_obj(poly), indent=2)`` nested ``depth`` levels
+    deep, in chunks: the head, one string per term filled into a template
+    of the term's fixed shape (no term dict), and the tail."""
+    pad = "\n" + "  " * depth
+    p2, p3, p4 = (pad + "  " * k for k in (2, 3, 4))
+    exps = "[" + p4 + "%s" + p3 + "]" if poly.nvars else "[%s]"
+    term = p2 + "{" + p3 + '"c": "%s",' + p3 + '"e": ' + exps + p2 + "}"
+    sep = "," + p4
+    names = nested_json(default_var_names(poly.nvars), depth + 1)
+    yield "{" + pad + '  "vars": ' + names + "," + pad + '  "terms": ['
+    for i, (e, c) in enumerate(poly.sorted_terms()):
+        yield ("," if i else "") + term % (format_rational(c), sep.join(map(str, e)))
+    yield (pad + "  ]" if poly else "]") + pad + "}"
 
 
 def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:

@@ -29,15 +29,16 @@ Contents:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import FlowerConfig, angle_sum_residual
-from .ratpoly import format_rational
+from .ratpoly import format_rational, nested_json
 
 
 # -- small exact helpers -------------------------------------------------------
@@ -839,6 +840,25 @@ class ScanResult:
     def to_obj(self) -> dict:
         return {"bound": self.bound, "summary": dict(self.summary),
                 "records": [r.to_obj() for r in self.records]}
+
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_obj(), indent=2)`` in chunks, one per record.
+
+        A record's fixed shape becomes one template with a ``%s`` slot per
+        scalar; json's C encoder writes the scalars of each record at once."""
+        head = json.dumps({"bound": self.bound, "summary": dict(self.summary)}, indent=2)
+        # head[:-2] drops the closing "\n}", so more keys can follow.
+        yield head[:-2] + ',\n  "records": ['
+        template = None
+        for i, rec in enumerate(self.records):
+            obj = rec.to_obj()
+            if template is None:
+                slots = {k: ["%s"] * len(v) if isinstance(v, list) else "%s"
+                         for k, v in obj.items()}
+                template = "\n    " + nested_json(slots, 2).replace('"%s"', "%s")
+            leaves = [x for v in obj.values() for x in (v if isinstance(v, list) else (v,))]
+            yield ("," if i else "") + template % tuple(json.dumps(leaves)[1:-1].split(", "))
+        yield ("\n  ]" if self.records else "]") + "\n}"
 
 
 def scan_lattice(bound: int) -> ScanResult:

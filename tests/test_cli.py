@@ -7,6 +7,8 @@ import json
 import time
 from itertools import product
 
+import pytest
+
 from flowerlab import cli, geometry
 from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
@@ -58,6 +60,16 @@ def test_cn_includes_square():
     cn, _ = poly_from_obj(obj["cn"])
     pn = flower_poly(2)
     assert cn == pn * pn
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_cn_below_two_is_usage_error(n, tmp_path):
+    # The closure product is P_n^2 only from n = 2 on; n = 1 used to crash.
+    target = tmp_path / "cn.json"
+    code, out, err = call(["cn", "--n", n, "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err == f"error: cn needs n >= 2, got {n}\n"
+    assert not target.exists()
 
 
 def test_size_ceiling_is_usage_error():
@@ -247,6 +259,54 @@ def test_out_flag_writes_file(tmp_path):
     code, out, _ = call(["pn", "--n", "3", "--out", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["pn", "--n", "4"],
+    ["pn", "--n", "3", "--route", "product"],
+    ["cn", "--n", "3"],
+    ["soddy-scan", "--bound", "3"],
+    ["soddy-scan", "--bound", "3", "--format", "csv"],
+    ["graham", "--bound", "20", "--format", "csv"],
+    ["pyth", "--beta", "2", "--bound", "100"],
+])
+def test_out_file_bytes_equal_stdout_bytes(argv, tmp_path):
+    target = tmp_path / "out"
+    code, out, _ = call(argv)
+    assert code == 0
+    assert call(argv + ["--out", str(target)])[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
+class RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, writes", [
+    (["soddy-scan", "--bound", "2"], 19),  # head, 16 records, tail, newline
+    (["soddy-scan", "--bound", "2", "--format", "csv"], 17),  # header, 16 rows
+    (["graham", "--bound", "20"], None),  # None: one write per line
+    (["graham", "--bound", "20", "--format", "csv"], None),
+    (["pyth", "--beta", "2", "--bound", "100"], None),
+    (["pyth", "--beta", "2", "--bound", "100", "--brute-force"], None),
+])
+def test_large_outputs_are_written_record_by_record(argv, writes):
+    out = RecordingStream()
+    assert run(argv, out, io.StringIO()) == 0
+    lines = len(out.getvalue().splitlines())
+    assert lines > 1 and out.writes == (writes or lines)
+
+
+def test_pn_is_written_term_by_term():
+    out = RecordingStream()
+    assert run(["pn", "--n", "4"], out, io.StringIO()) == 0
+    assert out.writes > len(flower_poly(4))
 
 
 def test_discrepancy_command():
