@@ -10,7 +10,8 @@ validate and draw a configuration given by radii.
 Conventions: results go to stdout (or ``--out``), diagnostics to stderr.
 Exit code 0 means success, 1 means a verification-style command found a
 failure, 2 means the invocation itself was bad (unknown flags, sizes beyond
-the ceiling ``flowerpoly.MAX_N``, malformed rationals), and 3 means an
+the ceiling ``flowerpoly.MAX_N`` and the other size ceilings, malformed
+rationals, an ``--out`` path that cannot be opened), and 3 means an
 internal error: one ``internal error:`` line on stderr, no traceback.
 Numeric inputs are exact rational strings like ``23/2``; floats appear only
 in tolerances and reports.
@@ -63,7 +64,11 @@ def _emit(chunks: Iterable[str], out_path: str | None, stdout) -> None:
     Callers compute their result first, so an error never leaves a partial
     file; only formatting happens between writes."""
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
+        with fh:
             fh.writelines(chunks)
     else:
         stdout.writelines(chunks)
@@ -255,9 +260,10 @@ def _cmd_soddy_scan(args, stdout, stderr) -> int:
 
 
 def _cmd_graham(args, stdout, stderr) -> int:
-    if args.bound < 1:
-        raise UsageError("bound must be at least 1")
-    records = soddy.graham_quadruples(args.bound)
+    try:
+        records = soddy.graham_quadruples(args.bound)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.format == "csv":
         header = ["x", "m", "d1", "d2", "b1", "b2", "b3", "b4", "degenerate"]
         rows = ([rec.params.x, rec.params.m, rec.params.d1, rec.params.d2,

@@ -13,6 +13,9 @@ This module builds that polynomial three ways:
                                over all 2^(n-1) sign masks, which equals
                                the square of the flower polynomial.
 
+The last two, the paper's products of conjugates, are ``block_product`` over
+the blocks (n-1, 1) and (n); other compositions give its block recursion.
+
 The verify_* helpers check the structural identities relating these routes
 (square decomposition, symmetry, specialization at x_i = 1, and the general
 block recursion), returning small report objects instead of bare booleans so
@@ -127,38 +130,53 @@ def flower_poly(n: int) -> SparsePoly:
 
 def flower_poly_from_product(n: int) -> SparsePoly:
     """The flower polynomial as the product of (x_n - sigma(cos expansion))
-    over all sign masks acting on the first n-1 variables.
+    over all sign masks acting on the first n-1 variables: the block
+    product over the blocks (n-1, 1).
 
     Independent of the recursion route; gated to n <= 5 because the product
     has 2^(n-2) factors.
     """
     _check_n(n, 2, 5, "flower_poly_from_product")
-    ec = cos_sin_over_slots(n, range(n - 1))[0]
-    xn = MixedElement.x_var(n, n - 1)
-    factors = []
-    for gens in _block_sign_bits(0, n - 1):
-        factors.append(xn - apply_sign(gens, ec))
-    return _product(factors).to_poly()
+    return block_product(n, (n - 1, 1))
 
 
 def closure_product_poly(n: int) -> SparsePoly:
-    """Product of (sigma(cos expansion) - 1) over the whole sign group.
+    """Product of (sigma(cos expansion) - 1) over the whole sign group: the
+    block product of P_1 = x_1 - 1 over the single block (n).
 
     This is the defining construction of the closure polynomial: all sine
     factors cancel in the full product, and the result is the square of
     ``flower_poly(n)`` for n >= 2.  Gated to n <= 5 (2^(n-1) factors).
     """
     _check_n(n, 1, 5, "closure_product_poly")
-    ec = cos_sin_over_slots(n, range(n))[0]
-    factors = [apply_sign(gens, ec) - 1 for gens in range(1 << (n - 1))]
+    return block_product(n, (n,))
+
+
+def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
+    """Product of P_k(sigma_1(c_1), ..., sigma_k(c_k)) over all per-block
+    sign choices, where the n angles are split into consecutive blocks of
+    the given sizes, c_j is the cosine expansion of block j's angle sum and
+    sigma_j ranges over the sign subgroup inside block j.  For k <= 2, P_k
+    is a base case, not the recursion.  There are 2^(n-k) factors; callers
+    gate the size."""
+    composition = tuple(composition)
+    if not composition or any(s < 1 for s in composition):
+        raise ValueError(f"composition must have positive parts: {composition}")
+    if sum(composition) != n:
+        raise ValueError(f"composition {composition} does not sum to {n}")
+    outer = flower_poly(len(composition))
+    block_cos, block_groups = [], []
+    offset = 0
+    for size in composition:
+        block_cos.append(cos_sin_over_slots(n, range(offset, offset + size))[0])
+        # The sign subgroup inside the block: generators offset..offset+size-2.
+        block_groups.append(range(0, 1 << (offset + size - 1), 1 << offset))
+        offset += size
+    factors = []
+    for choice in product(*block_groups):
+        args = [apply_sign(gens, ec) for gens, ec in zip(choice, block_cos)]
+        factors.append(poly_at_mixed(outer, args))
     return _product(factors).to_poly()
-
-
-def _block_sign_bits(offset: int, size: int) -> range:
-    """Generator masks of the sign subgroup acting inside one block of
-    ``size`` consecutive variables starting at ``offset``: the generators
-    offset..offset+size-2."""
-    return range(0, 1 << (offset + size - 1), 1 << offset)
 
 
 # -- structural checks ---------------------------------------------------------
@@ -219,32 +237,14 @@ def verify_specialization(n: int, index: int) -> CheckReport:
 def verify_general_recursion(n: int, composition: Sequence[int]) -> CheckReport:
     """Check the block recursion: splitting the n angles into consecutive
     blocks of sizes (n_1..n_k) and taking the product of the k-variable
-    flower polynomial over all per-block sign choices must reproduce the
-    n-variable polynomial."""
+    flower polynomial over all per-block sign choices (``block_product``)
+    must reproduce the n-variable polynomial."""
     composition = tuple(composition)
-    if len(composition) < 2 or any(s < 1 for s in composition):
+    if len(composition) < 2:
         raise ValueError(f"composition must have >= 2 positive parts: {composition}")
-    if sum(composition) != n:
-        raise ValueError(f"composition {composition} does not sum to {n}")
-    k = len(composition)
-    if n > 6 or n - k > 4:
+    if n > 6 or n - len(composition) > 4:
         raise ValueError(f"composition {composition} of {n} exceeds the cost gate")
-    outer = flower_poly(k)
-    offsets = []
-    pos = 0
-    for size in composition:
-        offsets.append(pos)
-        pos += size
-    block_cos = [
-        cos_sin_over_slots(n, range(off, off + size))[0]
-        for off, size in zip(offsets, composition)
-    ]
-    block_groups = [_block_sign_bits(off, size) for off, size in zip(offsets, composition)]
-    factors = []
-    for choice in product(*block_groups):
-        args = [apply_sign(gens, ec) for gens, ec in zip(choice, block_cos)]
-        factors.append(poly_at_mixed(outer, args))
-    combined = _product(factors).to_poly()
+    combined = block_product(n, composition)
     diff = first_difference(combined, flower_poly(n))
     if diff is None:
         return CheckReport("general-recursion", n, True, f"composition {composition}")

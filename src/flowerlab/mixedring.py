@@ -20,6 +20,11 @@ polynomial arithmetic.  The module provides
   i.e. when the term "crosses" boundary i;
 * ``poly_at_mixed``: a pure polynomial evaluated at ring elements.
 
+Multiplication keeps no kernel of its own: each operand's terms are grouped
+by y mask, the blocks are multiplied on packed x exponents with
+``ratpoly``'s kernel, and the products that share sines are multiplied by
+their y_i^2 = 1 - x_i^2 factor once per group.
+
 Like the pure polynomials, elements are immutable and all operations pure.
 """
 
@@ -33,6 +38,7 @@ from .ratpoly import (
     Exponents,
     SparsePoly,
     TermMap,
+    _mul_into,
     normalize_coeff,
     pack_exponents,
     pack_width,
@@ -151,71 +157,50 @@ class MixedElement(TermMap):
         if other is None:
             return NotImplemented
         self._check_arity(other)
-        # Packed key: the x exponents packed as in SparsePoly, shifted above
-        # the y bitmask.  Two keys then add to the key of the product before
-        # y_i^2 reduction; for a common mask m, subtracting 2*m clears the
-        # doubled y bits and each term of prod_{i in m} (1 - x_i^2) adds a
-        # packed delta to the x part.  Widths allow for those extra x^2.
+        # Two terms with y masks sa and sb multiply to y mask sa ^ sb times
+        # prod_{i in sa & sb} (1 - x_i^2).  So the products of each pair of
+        # mask blocks are summed, x exponents packed as in SparsePoly, into
+        # a group keyed by (sa ^ sb, sa & sb), and each group is multiplied
+        # by its reduction factor once.  Widths allow for the extra x^2.
         nvars = self.nvars
-        ymask = (1 << nvars) - 1
         bits = pack_width(self._max_exponent() + other._max_exponent() + 2)
-        a = self._packed(bits)
-        groups: dict[int, list[tuple[int, Coeff]]] = {}
-        for k, c in other._packed(bits):
-            groups.setdefault(k & ymask, []).append((k, c))
-        reductions = {}
-        for sa in {k & ymask for k, _ in a}:
-            for sb in groups:
-                common = sa & sb
-                if common and common not in reductions:
-                    reductions[common] = _reduction_offsets(nvars, bits, common)
-        acc: dict[int, Coeff] = {}
-        get = acc.get
-        for ka, ca in a:
-            sa = ka & ymask
-            for sb, group in groups.items():
-                common = sa & sb
-                if not common:
-                    for kb, cb in group:
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
-                    continue
-                plus, minus = reductions[common]
-                for kb, cb in group:
-                    k0 = ka + kb
-                    c = ca * cb
-                    for off in plus:
-                        k = k0 + off
-                        acc[k] = get(k, 0) + c
-                    for off in minus:
-                        k = k0 + off
-                        acc[k] = get(k, 0) - c
+        b = other._blocks(bits)
+        groups: dict[int, dict[int, dict[int, Coeff]]] = {}
+        for sa, block_a in self._blocks(bits).items():
+            for sb, block_b in b.items():
+                by_common = groups.setdefault(sa ^ sb, {})
+                _mul_into(by_common.setdefault(sa & sb, {}), block_a, block_b)
+        factors = {m: _sine_squares(nvars, bits, m) for g in groups.values() for m in g if m}
         out: dict[MixedKey, Coeff] = {}
-        for k, c in acc.items():
-            if c:
-                out[(unpack_exponents(k >> nvars, nvars, bits), k & ymask)] = normalize_coeff(c)
+        for mask, by_common in groups.items():
+            acc = by_common.pop(0, {})
+            for common, group in by_common.items():
+                _mul_into(acc, group.items(), factors[common])
+            for k, c in acc.items():
+                if c:
+                    out[(unpack_exponents(k, nvars, bits), mask)] = normalize_coeff(c)
         return MixedElement._raw(nvars, out)
 
     def _max_exponent(self) -> int:
         return max((max(e) for e, _ in self._terms), default=0)
 
-    def _packed(self, bits: int) -> list[tuple[int, Coeff]]:
-        nvars = self.nvars
-        return [((pack_exponents(e, bits) << nvars) | ybits, c)
-                for (e, ybits), c in self._terms.items()]
+    def _blocks(self, bits: int) -> dict[int, list[tuple[int, Coeff]]]:
+        """The terms grouped by y mask, with packed x exponents."""
+        blocks: dict[int, list[tuple[int, Coeff]]] = {}
+        for (e, ybits), c in self._terms.items():
+            blocks.setdefault(ybits, []).append((pack_exponents(e, bits), c))
+        return blocks
 
 
-def _reduction_offsets(nvars: int, bits: int, mask: int) -> tuple[list[int], list[int]]:
-    """Packed-key offsets for the product of two terms sharing the y mask
-    ``mask``: clear the doubled y bits and add each term of
-    prod_{i in mask} (1 - x_i^2), split by the sign of that term."""
-    offsets = [(-2 * mask, 1)]
+def _sine_squares(nvars: int, bits: int, mask: int) -> list[tuple[int, int]]:
+    """Packed terms of prod_{i in mask} (1 - x_i^2), the product of the
+    squares y_i^2 of the sines in ``mask``."""
+    terms = [(0, 1)]
     for i in range(nvars):
         if mask >> i & 1:
-            x2 = 2 << ((nvars - 1 - i) * bits + nvars)
-            offsets += [(off + x2, -sign) for off, sign in offsets]
-    return ([off for off, sign in offsets if sign > 0],
-            [off for off, sign in offsets if sign < 0])
+            x2 = 2 << (nvars - 1 - i) * bits
+            terms += [(k + x2, -c) for k, c in terms]
+    return terms
 
 
 # -- sign automorphisms --------------------------------------------------------
@@ -246,28 +231,22 @@ def apply_sign(gens: int, element: MixedElement) -> MixedElement:
 # -- angle-sum expansions --------------------------------------------------------
 
 
-def cos_sin_over_slots(
-    nvars: int, slots: Sequence[int], pick: int = 0
-) -> tuple[MixedElement, MixedElement]:
+def cos_sin_over_slots(nvars: int, slots: Sequence[int]) -> tuple[MixedElement, MixedElement]:
     """cos/sin expansion of the angle sum over the given variable slots.
 
-    Peels off slot ``slots[pick]`` with the two-term angle-addition rule and
-    recurses on the rest; any ``pick`` yields the same element.
+    Peels off the first slot with the two-term angle-addition rule and
+    recurses on the rest.
     """
     slots = tuple(slots)
     if not slots:
         raise ValueError("need at least one variable slot")
     if len(set(slots)) != len(slots) or not all(0 <= s < nvars for s in slots):
         raise ValueError(f"bad slot list {slots} for {nvars} variables")
-    if not 0 <= pick < len(slots):
-        raise ValueError("pick out of range")
-    j = slots[pick]
+    xj = MixedElement.x_var(nvars, slots[0])
+    yj = MixedElement.y_var(nvars, slots[0])
     if len(slots) == 1:
-        return MixedElement.x_var(nvars, j), MixedElement.y_var(nvars, j)
-    rest = slots[:pick] + slots[pick + 1 :]
-    ec, es = cos_sin_over_slots(nvars, rest)
-    xj = MixedElement.x_var(nvars, j)
-    yj = MixedElement.y_var(nvars, j)
+        return xj, yj
+    ec, es = cos_sin_over_slots(nvars, slots[1:])
     return xj * ec - yj * es, yj * ec + xj * es
 
 
@@ -283,9 +262,9 @@ def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElemen
     for a in args:
         if a.nvars != nvars:
             raise ValueError("mixed arguments must share one ambient ring")
-    powers: list[dict[int, MixedElement]] = [
-        {0: MixedElement.one(nvars)} for _ in range(poly.nvars)
-    ]
+    # The caches start at the arguments and a term's coefficient is
+    # applied last, so no product by one or by a scalar element is taken.
+    powers: list[dict[int, MixedElement]] = [{1: a} for a in args]
 
     def power(i: int, k: int) -> MixedElement:
         cache = powers[i]
@@ -297,9 +276,9 @@ def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElemen
 
     total = MixedElement.zero(nvars)
     for exps, coeff in poly.items():
-        term = MixedElement.scalar(nvars, coeff)
+        term = None
         for i, e in enumerate(exps):
             if e:
-                term = term * power(i, e)
-        total = total + term
+                term = power(i, e) if term is None else term * power(i, e)
+        total = total + (MixedElement.scalar(nvars, coeff) if term is None else term * coeff)
     return total

@@ -700,13 +700,18 @@ class GrahamRecord:
         }
 
 
+# Largest accepted bound of ``graham_quadruples``: the cost grows as the
+# cube of the bound (1.6 s at 400, 18.6 s and 8 MB of JSON lines at 1000).
+MAX_GRAHAM_BOUND = 1000
+
+
 def graham_quadruples(d2_bound: int) -> list[GrahamRecord]:
     """All integer curvature quadruples from the generator
     b = (x, d1-x, d2-x, d1+d2-2m-x) over 0 <= 2m <= d1 <= d2 <= bound with
     x^2 + m^2 = d1*d2 and x >= 0.  Every output satisfies the Descartes
     identity; non-positive curvatures are flagged, not dropped."""
-    if d2_bound < 1:
-        raise ValueError("bound must be at least 1")
+    if not 1 <= d2_bound <= MAX_GRAHAM_BOUND:
+        raise ValueError(f"bound must be in 1..{MAX_GRAHAM_BOUND}, got {d2_bound}")
     out: list[GrahamRecord] = []
     for d2 in range(1, d2_bound + 1):
         for d1 in range(0, d2 + 1):

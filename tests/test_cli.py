@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from flowerlab import cli, geometry
+from flowerlab import cli, geometry, pythag, soddy
 from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.ratpoly import poly_from_obj
@@ -203,6 +203,25 @@ def test_pyth_beta_above_the_ceiling_is_usage_error():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["graham", "--bound", str(soddy.MAX_GRAHAM_BOUND + 1)],
+    ["pyth", "--beta", "1", "--bound", str(pythag.MAX_BOUND + 1)],
+    ["pyth", "--beta", "1", "--bound", str(pythag.MAX_BRUTE_FORCE_BOUND + 1), "--brute-force"],
+    ["pyth", "--beta", "1", "--bound", "10" + "0" * 12],
+], ids=["graham", "pyth", "pyth-brute-force", "pyth-huge"])
+def test_bound_above_the_ceiling_is_usage_error(argv):
+    start = time.perf_counter()
+    code, out, err = call(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bound must be in 1..") and err.count("\n") == 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_benchmark_bounds_are_accepted():
+    assert soddy.MAX_GRAHAM_BOUND >= 200
+    assert pythag.MAX_BOUND >= 1000 and pythag.MAX_BRUTE_FORCE_BOUND >= 1000
+
+
 def test_pyth_rejects_non_positive_beta():
     for beta, flags in product(("0", "-3"), ([], ["--brute-force"])):
         code, out, err = call(["pyth", "--beta", beta, "--bound", "10", *flags])
@@ -259,6 +278,15 @@ def test_out_flag_writes_file(tmp_path):
     code, out, _ = call(["pn", "--n", "3", "--out", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 3
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_path_that_cannot_be_opened_is_usage_error(tmp_path, where):
+    target = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = call(["pn", "--n", "3", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -166,11 +166,20 @@ def test_monicity():
     assert flower_poly(5).degree_in(4) == 8
 
 
-def test_general_recursion_compositions():
-    assert verify_general_recursion(3, (2, 1)).ok
-    assert verify_general_recursion(4, (2, 2)).ok
-    assert verify_general_recursion(4, (1, 2, 1)).ok
-    assert verify_general_recursion(5, (2, 1, 2)).ok
+def _compositions(n):
+    """Every composition of n (ordered positive parts)."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in _compositions(n - first)]
+
+
+@pytest.mark.parametrize(
+    "composition",
+    [c for n in range(3, 6) for c in _compositions(n) if len(c) >= 2],
+    ids=lambda c: "+".join(map(str, c)),
+)
+def test_general_recursion_compositions(composition):
+    assert verify_general_recursion(sum(composition), composition).ok
 
 
 def test_general_recursion_rejects_bad_compositions():

@@ -72,14 +72,6 @@ def test_term_parity_of_expansions():
         assert all(bin(ybits).count("1") % 2 == 1 for (_, ybits), _ in es.items())
 
 
-def test_recursion_index_freedom():
-    for n in range(2, 5):
-        slots = tuple(range(n))
-        base = cos_sin_over_slots(n, slots, pick=0)
-        for pick in range(1, n):
-            assert cos_sin_over_slots(n, slots, pick=pick) == base
-
-
 def test_generator_flips_adjacent_pair():
     n = 2
     assert apply_sign(0b1, y(n, 0) * y(n, 1)) == -(y(n, 0) * y(n, 1))
