@@ -13,8 +13,9 @@ failure, 2 means the invocation itself was bad (unknown flags, sizes beyond
 the ceiling ``flowerpoly.MAX_N`` and the other size ceilings, malformed
 rationals, an ``--out`` path that cannot be opened), and 3 means an
 internal error: one ``internal error:`` line on stderr, no traceback.
-Numeric inputs are exact rational strings like ``23/2``; floats appear only
-in tolerances and reports.
+Numeric inputs are exact rational strings like ``23/2``.  The handlers
+parse and print only: every tolerance, ceiling and range gate lives in the
+library module that does the work.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
+import random
 import sys
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from typing import Iterable, Iterator
 
 from . import discrepancy, flowerpoly, geometry, pythag, soddy
@@ -35,28 +35,6 @@ from .ratpoly import parse_rational
 
 class UsageError(Exception):
     pass
-
-
-def _parse_radii(values: list[str]) -> list[Fraction]:
-    try:
-        radii = [parse_rational(v) for v in values]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if any(r <= 0 for r in radii):
-        raise UsageError("radii must be strictly positive")
-    return radii
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite, non-negative float.  A NaN would
-    make every residual comparison false and so skip the check it guards."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(tol) or tol < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return tol
 
 
 def _emit(chunks: Iterable[str], out_path: str | None, stdout) -> None:
@@ -100,7 +78,7 @@ def _cmd_pn(args, stdout, stderr) -> int:
             pn = flowerpoly.flower_poly_from_product(args.n)
         else:
             pn = flowerpoly.flower_poly(args.n)
-    except (SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
         _emit((pn.pretty(), "\n"), args.out, stdout)
@@ -117,7 +95,7 @@ def _cmd_cn(args, stdout, stderr) -> int:
     try:
         pn = flowerpoly.flower_poly(args.n)
         cn = flowerpoly.closure_product_poly(args.n)
-    except (SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
         _emit((cn.pretty(), "\n"), args.out, stdout)
@@ -129,67 +107,37 @@ def _cmd_cn(args, stdout, stderr) -> int:
     return 0
 
 
-def _default_composition(n: int):
-    if n == 3:
-        return (2, 1)
-    if n == 4:
-        return (2, 2)
-    if n == 5:
-        return (2, 1, 2)
-    return None
+# The block compositions the recursion check uses, one per n in its range.
+_COMPOSITIONS = {3: (2, 1), 4: (2, 2), 5: (2, 1, 2)}
+
+
+def _symmetry_perms(n: int) -> list[tuple[int, ...]]:
+    perms = list(permutations(range(n)))
+    return perms if n <= 4 else random.Random(0).sample(perms, 40)
+
+
+# How ``verify`` runs each check of ``flowerpoly.VERIFY_CHECKS`` at n.
+_VERIFY_RUNS = {
+    "square": lambda n: [flowerpoly.verify_square(n)],
+    "symmetry": lambda n: [flowerpoly.verify_symmetry(n, _symmetry_perms(n))],
+    "specialization": lambda n: [flowerpoly.verify_specialization(n, i) for i in range(n)],
+    "recursion": lambda n: [flowerpoly.verify_general_recursion(n, _COMPOSITIONS[n])],
+    "monic": lambda n: [flowerpoly.verify_monic(n)],
+}
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
     n = args.n
-    which = {
-        "square": args.square,
-        "symmetry": args.symmetry,
-        "specialization": args.specialization,
-        "recursion": args.recursion,
-        "monic": args.monic,
-    }
-    if args.all or not any(which.values()):
-        which = {k: True for k in which}
     if n < 2 or n > MAX_N:
         raise UsageError(f"verify supports n in 2..{MAX_N}, got {n}")
-
+    chosen = [name for name in flowerpoly.VERIFY_CHECKS if getattr(args, name)]
     reports: list[flowerpoly.CheckReport] = []
-    skipped: list[str] = []
-    if which["square"]:
-        if 2 <= n <= 5:
-            reports.append(flowerpoly.verify_square(n))
-        else:
-            skipped.append(f"square (needs n <= 5, got {n})")
-    if which["symmetry"]:
-        if n >= 3:
-            import itertools
-            import random
-
-            if n <= 4:
-                perms = list(itertools.permutations(range(n)))
+    for name, (low, high) in flowerpoly.VERIFY_CHECKS.items():
+        if args.all or not chosen or name in chosen:
+            if low <= n <= high:
+                reports.extend(_VERIFY_RUNS[name](n))
             else:
-                rng = random.Random(0)
-                perms = rng.sample(list(itertools.permutations(range(n))), 40)
-            reports.append(flowerpoly.verify_symmetry(n, perms))
-        else:
-            skipped.append("symmetry (the two-variable case is asymmetric by design)")
-    if which["specialization"]:
-        if 3 <= n <= 6:
-            for i in range(n):
-                reports.append(flowerpoly.verify_specialization(n, i))
-        else:
-            skipped.append(f"specialization (needs 3 <= n <= 6, got {n})")
-    if which["recursion"]:
-        comp = _default_composition(n)
-        if comp:
-            reports.append(flowerpoly.verify_general_recursion(n, comp))
-        else:
-            skipped.append(f"recursion (no default composition for n={n})")
-    if which["monic"]:
-        reports.append(flowerpoly.verify_monic(n))
-
-    for msg in skipped:
-        stderr.write(f"skipped: {msg}\n")
+                stderr.write(f"skipped: {name} (supports n in {low}..{high}, got {n})\n")
     ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = [
@@ -215,7 +163,7 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
     cosines = soddy.cosines_from_params(params)
     constraints = soddy.constraint_report(params)
     try:
-        solved = soddy.solve_radii(cosines, tol=args.tol)
+        solved = soddy.solve_radii(cosines)
     except ValueError as exc:
         raise UsageError(f"params {params.as_tuple()}: {exc}") from exc
     ratios = soddy.graham_inverse(params)
@@ -247,9 +195,10 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
 
 
 def _cmd_soddy_scan(args, stdout, stderr) -> int:
-    if args.bound < 1 or args.bound > 64:
-        raise UsageError(f"scan bound must be in 1..64, got {args.bound}")
-    result = soddy.scan_lattice(args.bound)
+    try:
+        result = soddy.scan_lattice(args.bound)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.format == "csv":
         rows = (rec.csv_row() for rec in result.records)
         _emit(_csv_chunks(soddy.ScanRecord.CSV_FIELDS, rows), args.out, stdout)
@@ -288,10 +237,9 @@ def _cmd_pyth(args, stdout, stderr) -> int:
 
 
 def _flower_config(args) -> geometry.FlowerConfig:
-    radii = _parse_radii(args.radii)
-    if len(radii) < 4:
-        raise UsageError("need a center radius and at least three petal radii")
+    """The center radius then the petal radii; ``FlowerConfig`` checks them."""
     try:
+        radii = [parse_rational(v) for v in args.radii]
         return geometry.FlowerConfig(radii[0], tuple(radii[1:]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -300,7 +248,7 @@ def _flower_config(args) -> geometry.FlowerConfig:
 def _cmd_flower_check(args, stdout, stderr) -> int:
     config = _flower_config(args)
     try:
-        report = geometry.validate_flower(config, tol=args.tol)
+        report = geometry.validate_flower(config)
     except SizeLimitError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
@@ -314,8 +262,8 @@ def _cmd_flower_check(args, stdout, stderr) -> int:
 def _cmd_flower_render(args, stdout, stderr) -> int:
     config = _flower_config(args)
     try:
-        placements = geometry.layout(config, tol=args.tol)
-    except (ValueError, SizeLimitError) as exc:
+        placements = geometry.layout(config)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     svg = geometry.render_svg(placements)
     _emit((svg,), args.out, stdout)
@@ -324,7 +272,7 @@ def _cmd_flower_render(args, stdout, stderr) -> int:
 
 def _cmd_discrepancy(args, stdout, stderr) -> int:
     payload = {
-        "radius_example": discrepancy.radius_example_report(tol=args.tol),
+        "radius_example": discrepancy.radius_example_report(),
         "radius_expansion": discrepancy.radius_expansion_report(),
     }
     _emit(_json_chunks(payload), args.out, stdout)
@@ -347,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt=("json", "text")):
-        p.add_argument("--format", choices=fmt, default=fmt[0])
+        if fmt:
+            p.add_argument("--format", choices=fmt, default=fmt[0])
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("pn", help="print the n-petal flower polynomial")
@@ -376,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soddy-gen", help="expand one parameter tuple")
     p.add_argument("--params", type=int, nargs=4, required=True,
                    metavar=("M1", "N1", "M2", "N2"))
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_soddy_gen)
 
@@ -394,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--brute-force", action="store_true")
-    common(p)
+    common(p, fmt=())
     p.set_defaults(func=_cmd_pyth)
 
     p = sub.add_parser("flower", help="validate or render a flower from radii")
@@ -403,20 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     pc = fsub.add_parser("check", help="validate a configuration")
     pc.add_argument("radii", nargs="+",
                     help="center radius then petal radii, integers or p/q")
-    pc.add_argument("--tol", type=_tolerance, default=1e-9)
     common(pc)
     pc.set_defaults(func=_cmd_flower_check)
 
     pr = fsub.add_parser("render", help="write an SVG drawing")
     pr.add_argument("radii", nargs="+")
-    pr.add_argument("--tol", type=_tolerance, default=1e-9)
     pr.add_argument("--out", required=True, help="output SVG path ('-' for stdout)")
     pr.set_defaults(func=_cmd_flower_render, format="svg")
 
     p = sub.add_parser("discrepancy",
                        help="recompute the recorded reference comparisons")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    common(p)
+    common(p, fmt=())
     p.set_defaults(func=_cmd_discrepancy)
 
     return parser

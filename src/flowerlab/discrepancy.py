@@ -97,17 +97,19 @@ def positive_solution_approxes(report: SolveReport) -> list[tuple[float, float, 
     return sorted(out)
 
 
-def solver_sweep_agree(
-    report: SolveReport, sweep: Sequence[tuple[float, float, float]], rel_tol: float = 1e-5
-) -> bool:
-    """Same positive solutions (as sets, within float tolerance)?"""
+# Relative tolerance of the float sweep against the exact solver's roots.
+SWEEP_REL_TOL = 1e-5
+
+
+def solver_sweep_agree(report: SolveReport, sweep: Sequence[tuple[float, float, float]]) -> bool:
+    """Same positive solutions (as sets, within ``SWEEP_REL_TOL``)?"""
     exact = positive_solution_approxes(report)
     approx = sorted(sweep)
     if len(exact) != len(approx):
         return False
     for (a1, a2, a3), (b1, b2, b3) in zip(exact, approx):
         for a, b in ((a1, b1), (a2, b2), (a3, b3)):
-            if abs(a - b) > rel_tol * (1.0 + abs(a)):
+            if abs(a - b) > SWEEP_REL_TOL * (1.0 + abs(a)):
                 return False
     return True
 
@@ -123,7 +125,7 @@ def pairwise_equation_checks(config: FlowerConfig, cosines: CosTriple) -> dict:
     }
 
 
-def radius_example_report(tol: float = 1e-9) -> dict:
+def radius_example_report() -> dict:
     """Recompute the recorded worked example and compare all routes.
 
     The report's ``internal_agreement`` section must come out all-true (the
@@ -132,9 +134,9 @@ def radius_example_report(tol: float = 1e-9) -> dict:
     recorded values compare and may legitimately contain False.
     """
     cosines = cosines_from_params(REFERENCE_PARAMS)
-    solved = solve_radii(cosines, tol=tol)
+    solved = solve_radii(cosines)
     swept = sweep_radii(cosines)
-    validation = validate_flower(REFERENCE_SCALED, tol=tol)
+    validation = validate_flower(REFERENCE_SCALED)
 
     reference_flower = FlowerConfig(Fraction(1), REFERENCE_RADII)
     reference_is_solution = any(

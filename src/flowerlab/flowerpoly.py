@@ -56,6 +56,19 @@ def clear_cache() -> None:
     _RECURSION_CACHE.clear()
 
 
+# The checks of ``verify`` in the order it runs them, each with the petal
+# counts it supports.  The square, specialization and monic gates read their
+# range from here; the recursion range is that of the CLI's default
+# compositions (``verify_general_recursion`` itself is gated by cost).
+VERIFY_CHECKS = {
+    "square": (2, 5),
+    "symmetry": (3, MAX_N),  # the two-variable case is asymmetric by design
+    "specialization": (3, MAX_N),
+    "recursion": (3, 5),
+    "monic": (2, MAX_N),
+}
+
+
 def _check_n(n: int, low: int, high: int, what: str) -> None:
     if not isinstance(n, int) or not low <= n <= high:
         raise ValueError(f"{what} supports n in {low}..{high}, got {n}")
@@ -204,7 +217,7 @@ class CheckReport:
 
 def verify_square(n: int) -> CheckReport:
     """Does the closure product equal the square of the flower polynomial?"""
-    _check_n(n, 2, 5, "verify_square")
+    _check_n(n, *VERIFY_CHECKS["square"], "verify_square")
     pn = flower_poly(n)
     cn = closure_product_poly(n)
     diff = first_difference(cn, pn * pn)
@@ -219,7 +232,7 @@ def verify_square(n: int) -> CheckReport:
 
 def verify_specialization(n: int, index: int) -> CheckReport:
     """Setting x_index := 1 must give the square of the (n-1)-petal polynomial."""
-    _check_n(n, 3, 6, "verify_specialization")
+    _check_n(n, *VERIFY_CHECKS["specialization"], "verify_specialization")
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range")
     specialized = flower_poly(n).specialize(index, 1)
@@ -242,10 +255,10 @@ def verify_general_recursion(n: int, composition: Sequence[int]) -> CheckReport:
     composition = tuple(composition)
     if len(composition) < 2:
         raise ValueError(f"composition must have >= 2 positive parts: {composition}")
-    if n > 6 or n - len(composition) > 4:
+    if n - len(composition) > 4:
         raise ValueError(f"composition {composition} of {n} exceeds the cost gate")
-    combined = block_product(n, composition)
-    diff = first_difference(combined, flower_poly(n))
+    pn = flower_poly(n)  # refuses n beyond MAX_N before the product is built
+    diff = first_difference(block_product(n, composition), pn)
     if diff is None:
         return CheckReport("general-recursion", n, True, f"composition {composition}")
     exps, lhs, rhs = diff
@@ -268,7 +281,7 @@ def verify_monic(n: int) -> CheckReport:
     """Degree in every variable must be 2^(n-2); the leading coefficient is
     the constant 1 in every variable for n >= 3 (for n = 2 only the last
     variable carries +1, the first carries -1)."""
-    _check_n(n, 2, MAX_N, "verify_monic")
+    _check_n(n, *VERIFY_CHECKS["monic"], "verify_monic")
     pn = flower_poly(n)
     want = 1 << (n - 2)
     for i in range(n):
@@ -328,8 +341,6 @@ class RadiusExpansion:
 
     homogeneous: SparsePoly  # 4 variables: r, r1, r2, r3
     coefficients: tuple[SparsePoly, ...]  # index = power of r, 3 variables
-
-    VAR_NAMES = ("r", "r1", "r2", "r3")
 
 
 def radius_expansion() -> RadiusExpansion:

@@ -9,8 +9,8 @@ all exact rationals.  Validation separates two kinds of evidence:
 * numeric: the center angles must actually sum to 2*pi.  The polynomial
   relation alone admits configurations on other angle branches (for example
   one angle equal to the sum of the others), so the angle sum is the
-  deciding check.  It is evaluated with ``DPS``-digit arithmetic against a
-  float tolerance.
+  deciding check.  It is evaluated with ``DPS``-digit arithmetic against
+  the float tolerance ``ANGLE_SUM_TOL``.
 
 For three petals each center angle of a genuine flower lies strictly
 between 90 and 180 degrees, i.e. its cosine lies in (-1, 0); that range is
@@ -30,6 +30,8 @@ from .ratpoly import format_rational
 
 # Decimal digits of the mpmath arithmetic behind the angle sum and the layout.
 DPS = 40
+# Largest |angle sum - 2*pi| a valid flower may show.
+ANGLE_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def angle_sum_residual(cosines: Sequence[Fraction]) -> float:
         return float(abs(total - 2 * mp.pi))
 
 
-def validate_flower(config: FlowerConfig, tol: float = 1e-9) -> ValidationReport:
+def validate_flower(config: FlowerConfig) -> ValidationReport:
     """Full validity check: exact polynomial membership, numeric angle sum,
     and (for three petals) the exact per-angle range."""
     n = config.n
@@ -131,7 +133,7 @@ def validate_flower(config: FlowerConfig, tol: float = 1e-9) -> ValidationReport
     reasons: list[str] = []
     if residual != 0:
         reasons.append("cosines do not lie on the flower variety")
-    if sum_residual > tol:
+    if sum_residual > ANGLE_SUM_TOL:
         reasons.append(f"angle sum misses 2*pi by {sum_residual:.3e}")
     if not all(range_ok):
         reasons.append(range_msg)
@@ -157,7 +159,7 @@ class CirclePlacement:
         return {"x": self.x, "y": self.y, "radius": self.radius, "is_center": self.is_center}
 
 
-def layout(config: FlowerConfig, tol: float = 1e-9) -> list[CirclePlacement]:
+def layout(config: FlowerConfig) -> list[CirclePlacement]:
     """Place a validated flower in the plane.
 
     The center coin sits at the origin; petal k sits at distance
@@ -165,7 +167,7 @@ def layout(config: FlowerConfig, tol: float = 1e-9) -> list[CirclePlacement]:
     preceding center angles.  Raises for configurations that fail
     ``validate_flower``.
     """
-    report = validate_flower(config, tol=tol)
+    report = validate_flower(config)
     if not report.valid:
         raise ValueError("not a valid flower: " + "; ".join(report.reasons))
     placements = [CirclePlacement(0.0, 0.0, float(config.center), True)]

@@ -4,7 +4,14 @@ Contents:
 
 * a four-integer parametrization of rational cosine triples on the
   three-petal flower variety, with the five positivity constraints that are
-  supposed to accompany it (``cosines_from_params`` / ``constraint_report``);
+  supposed to accompany it (``cosines_from_params`` / ``constraint_report``).
+  With cross = m1*n2 + m2*n1 and q_i = m_i^2 + n_i^2 the radii are proved
+  to be r_1 = n1*cross/(n2*q1 - n1*cross), r_2 = n1*n2/(cross - n1*n2) and
+  r_3 = n2*cross/(n1*q2 - n2*cross) (the other root of the r_1 quadratic,
+  -n1*cross/(n2*q1 + n1*cross), is negative).  So r_1 > 0 iff
+  n2*q1 > n1*cross: the fourth recorded constraint, n1*cross > n2*q1, is
+  reversed, and a tuple has a valid flower iff constraints 3 and 5 hold,
+  the reversed fourth holds, and n1*n2 > m1*m2 (the angle-sum branch);
 * the exact radii solver ``solve_radii``: given a cosine triple, the three
   pairwise law-of-cosines equations factor as
   (r_i - u)(r_j - u) = w with u = (1-x)/(1+x) and w = u(u+1), and
@@ -37,7 +44,7 @@ from itertools import product
 from math import gcd, isqrt
 from typing import Iterator, Optional, Sequence
 
-from .geometry import FlowerConfig, angle_sum_residual
+from .geometry import ANGLE_SUM_TOL, FlowerConfig, angle_sum_residual
 from .ratpoly import format_rational, nested_json
 
 
@@ -423,7 +430,7 @@ def _pair_equation_ok(a: int, b: int, c: int, na: int, da: int, nb: int, db: int
     return (na * b - a * da) * (nb * b - a * db) == a * c * da * db
 
 
-def solve_radii(cosines: CosTriple | Sequence, tol: float = 1e-9) -> SolveReport:
+def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
     """Solve for petal radii (center radius 1) matching an exact cosine triple.
 
     Eliminating r_2 (via the x_1 equation) and r_3 (via the x_3 equation)
@@ -468,14 +475,14 @@ def solve_radii(cosines: CosTriple | Sequence, tol: float = 1e-9) -> SolveReport
     qb = 2 * qc
 
     # Double precision decides the branch check except within three orders
-    # of magnitude of the tolerance; the ambiguous window escalates to
+    # of magnitude of ``ANGLE_SUM_TOL``; the ambiguous window escalates to
     # 40-digit arithmetic.
     fast = abs(math.fsum(math.acos(float(x)) for x in xs) - 2.0 * math.pi)
-    if fast > 1e3 * tol or fast < 1e-3 * tol:
+    if fast > 1e3 * ANGLE_SUM_TOL or fast < 1e-3 * ANGLE_SUM_TOL:
         sum_residual = fast
     else:
         sum_residual = angle_sum_residual(xs)
-    angle_ok = sum_residual <= tol
+    angle_ok = sum_residual <= ANGLE_SUM_TOL
 
     # Rational roots as integer pairs (n, m) for n/m.
     rational_roots: list[tuple[int, int]] = []
@@ -866,14 +873,19 @@ class ScanResult:
         yield ("\n  ]" if self.records else "]") + "\n}"
 
 
+# Largest accepted bound of ``scan_lattice``, which visits bound^4 tuples
+# (20,736 at 12, 16.8 M at 64).
+MAX_SCAN_BOUND = 64
+
+
 def scan_lattice(bound: int) -> ScanResult:
     """Audit every parameter tuple with entries in 1..bound.
 
     Records are in lexicographic parameter order; the summary tallies how
     the constraint set relates to square discriminants, solvable flowers,
     and the two generator inequalities."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    if not 1 <= bound <= MAX_SCAN_BOUND:
+        raise ValueError(f"scan bound must be in 1..{MAX_SCAN_BOUND}, got {bound}")
     records = [_scan_tuple(t) for t in product(range(1, bound + 1), repeat=4)]
     passing = [r for r in records if r.all_pass]
     summary = {

@@ -4,12 +4,14 @@ import argparse
 import dataclasses
 import io
 import json
+import shlex
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from flowerlab import cli, geometry, pythag, soddy
+from flowerlab import cli, flowerpoly, geometry, pythag, soddy
 from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.ratpoly import poly_from_obj
@@ -136,22 +138,21 @@ def test_soddy_gen_degenerate_params_is_usage_error():
         assert err.startswith("error: params") and "degenerate" in err
 
 
-def test_tolerance_must_be_finite_and_non_negative(capsys):
-    commands = [
-        ["soddy-gen", "--params", "1", "2", "2", "3"],
-        ["flower", "check", "6", "69", "46", "23"],
-        ["flower", "render", "6", "69", "46", "23", "--out", "-"],
-        ["discrepancy"],
-    ]
-    for argv in commands:
-        for tol in ("nan", "inf", "-inf", "-1e-9", "tiny"):
-            code, out, _ = call(argv + ["--tol", tol])
-            assert (code, out) == (2, "")
-            assert "--tol" in capsys.readouterr().err
-    code, out, _ = call(commands[0] + ["--tol", "0"])
-    assert code == 0
-    code, out, _ = call(commands[1] + ["--tol", "1e-6"])
-    assert code == 0 and json.loads(out)["valid"] is True
+@pytest.mark.parametrize("argv", [
+    ["soddy-gen", "--params", "1", "2", "2", "3", "--tol", "1e-9"],
+    ["flower", "check", "6", "69", "46", "23", "--tol", "1e-9"],
+    ["flower", "render", "6", "69", "46", "23", "--out", "-", "--tol", "1e-9"],
+    ["discrepancy", "--tol", "1e-9"],
+    ["pyth", "--beta", "1", "--bound", "10", "--format", "text"],
+    ["discrepancy", "--format", "json"],
+], ids=["soddy-gen-tol", "check-tol", "render-tol", "discrepancy-tol", "pyth-format",
+        "discrepancy-format"])
+def test_retired_flags_are_usage_errors(argv, capsys):
+    # The angle-sum tolerance is geometry.ANGLE_SUM_TOL, and pyth and
+    # discrepancy have one output format each.
+    code, out, _ = call(argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
 
 def test_soddy_scan_formats():
@@ -214,6 +215,31 @@ def test_bound_above_the_ceiling_is_usage_error(argv):
     code, out, err = call(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: bound must be in 1..") and err.count("\n") == 1
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("build, argv", [
+    (lambda: flowerpoly.flower_poly(flowerpoly.MAX_N + 1),
+     ["pn", "--n", str(flowerpoly.MAX_N + 1)]),
+    (lambda: soddy.scan_lattice(soddy.MAX_SCAN_BOUND + 1),
+     ["soddy-scan", "--bound", str(soddy.MAX_SCAN_BOUND + 1)]),
+    (lambda: soddy.graham_quadruples(soddy.MAX_GRAHAM_BOUND + 1),
+     ["graham", "--bound", str(soddy.MAX_GRAHAM_BOUND + 1)]),
+    (lambda: pythag.generate_triples(1, pythag.MAX_BOUND + 1),
+     ["pyth", "--beta", "1", "--bound", str(pythag.MAX_BOUND + 1)]),
+    (lambda: pythag.brute_force_triples(1, pythag.MAX_BRUTE_FORCE_BOUND + 1),
+     ["pyth", "--beta", "1", "--bound", str(pythag.MAX_BRUTE_FORCE_BOUND + 1), "--brute-force"]),
+    (lambda: pythag.generate_triples(pythag.MAX_BETA + 1, 10),
+     ["pyth", "--beta", str(pythag.MAX_BETA + 1), "--bound", "10"]),
+], ids=["flower_poly", "scan_lattice", "graham_quadruples", "generate_triples",
+        "brute_force_triples", "beta"])
+def test_library_ceilings_refuse_one_past_the_limit(build, argv):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        build()
+    code, out, err = call(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert time.perf_counter() - start < 0.5
 
 
@@ -385,13 +411,13 @@ OPTION_SURFACE = {
     "cn": ["--format", "--n", "--out"],
     "verify": ["--all", "--format", "--monic", "--n", "--out", "--recursion",
                "--specialization", "--square", "--symmetry"],
-    "soddy-gen": ["--format", "--out", "--params", "--tol"],
+    "soddy-gen": ["--format", "--out", "--params"],
     "soddy-scan": ["--bound", "--format", "--out"],
     "graham": ["--bound", "--format", "--out"],
-    "pyth": ["--beta", "--bound", "--brute-force", "--format", "--out"],
-    "flower check": ["--format", "--out", "--tol", "radii"],
-    "flower render": ["--out", "--tol", "radii"],
-    "discrepancy": ["--format", "--out", "--tol"],
+    "pyth": ["--beta", "--bound", "--brute-force", "--out"],
+    "flower check": ["--format", "--out", "radii"],
+    "flower render": ["--out", "radii"],
+    "discrepancy": ["--out"],
 }
 
 
@@ -409,3 +435,21 @@ def _option_surface(parser, prefix=""):
 
 def test_option_surface():
     assert _option_surface(build_parser()) == OPTION_SURFACE
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("flowerlab ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(_readme_cli_examples()) >= 10
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = call(argv)
+    assert code == 0, err

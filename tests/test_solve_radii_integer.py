@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowerlab.discrepancy import solver_sweep_agree
-from flowerlab.geometry import FlowerConfig, angle_sum_residual
+from flowerlab.geometry import ANGLE_SUM_TOL, FlowerConfig, angle_sum_residual
 from flowerlab.soddy import (
     CosTriple,
     QuadraticValue,
@@ -51,7 +51,7 @@ def fraction_coefficients(u, w):
     )
 
 
-def reference_solve(cosines, tol: float = 1e-9) -> SolveReport:
+def reference_solve(cosines) -> SolveReport:
     if not isinstance(cosines, CosTriple):
         cosines = CosTriple(*(F(x) for x in cosines))
     xs = cosines.as_tuple()
@@ -65,6 +65,7 @@ def reference_solve(cosines, tol: float = 1e-9) -> SolveReport:
     qa, qb, qc = fraction_coefficients(u, w)
 
     fast = abs(math.fsum(math.acos(float(x)) for x in xs) - 2.0 * math.pi)
+    tol = ANGLE_SUM_TOL
     sum_residual = fast if fast > 1e3 * tol or fast < 1e-3 * tol else angle_sum_residual(xs)
     angle_ok = sum_residual <= tol
 
@@ -235,6 +236,69 @@ def test_closed_form_coefficients_symbolically():
     assert sp.cancel(qb - 2 * qc) == 0
     assert sp.cancel(qc - big_c / den) == 0
     assert sp.cancel(qc * (qc - qa) - w[0] * w[1] * w[2]) == 0
+
+
+# -- closed forms on the parametrized triple ------------------------------------
+#
+# For cosines_from_params(m1, n1, m2, n2) write cross = m1*n2 + m2*n1 and
+# q_i = m_i^2 + n_i^2.  The r_1 quadratic then has the roots
+# n1*cross/(n2*q1 - n1*cross) and -n1*cross/(n2*q1 + n1*cross), and the
+# first comes with r_2 = n1*n2/(cross - n1*n2), r_3 = n2*cross/(n1*q2 - n2*cross).
+
+
+def closed_form_radii(m1, n1, m2, n2):
+    q1, q2, cross = m1 * m1 + n1 * n1, m2 * m2 + n2 * n2, m1 * n2 + m2 * n1
+    return (n1 * cross / (n2 * q1 - n1 * cross), n1 * n2 / (cross - n1 * n2),
+            n2 * cross / (n1 * q2 - n2 * cross))
+
+
+def test_parametrized_closed_forms_symbolically():
+    sp = pytest.importorskip("sympy")
+    m1, n1, m2, n2 = sp.symbols("m1 n1 m2 n2", positive=True)
+    q1, q2, cross = m1**2 + n1**2, m2**2 + n2**2, m1 * n2 + m2 * n1
+    # x_i = p_i/q_i as cosines_from_params builds them, not reduced
+    p = [m1**2 - n1**2, m2**2 - n2**2, (m1**2 - n1**2) * (m2**2 - n2**2) - 4 * m1 * m2 * n1 * n2]
+    q = [q1, q2, q1 * q2]
+    a = [qi - pi for pi, qi in zip(p, q)]
+    b = [qi + pi for pi, qi in zip(p, q)]
+    c = [2 * qi for qi in q]
+    big_a = (a[0] * b[1] - a[1] * b[0]) * (a[2] * b[1] - a[1] * b[2]) - a[1] * c[1] * b[0] * b[2]
+    big_c = a[0] * a[2] * c[1] * b[1]
+    s = 16 * m2**2 * n1 * n2 * q1 * q2 * cross
+    assert sp.expand(big_c * (big_c - big_a) - s**2) == 0
+    assert sp.expand(s**2 - 256 * m2**4 * n1**2 * n2**2 * q1**2 * q2**2 * cross**2) == 0
+    # QA factors as -16*m2^2*q2*(n2*q1 - n1*cross)*(n2*q1 + n1*cross), so with
+    # positive parameters QA = 0 exactly when n2*q1 = n1*cross.
+    assert sp.expand(big_a + 16 * m2**2 * q2 * (n2 * q1 - n1 * cross) * (n2 * q1 + n1 * cross)) == 0
+    assert sp.cancel((-big_c - s) / big_a - n1 * cross / (n2 * q1 - n1 * cross)) == 0
+    assert sp.cancel((-big_c + s) / big_a + n1 * cross / (n2 * q1 + n1 * cross)) == 0
+    radii = closed_form_radii(m1, n1, m2, n2)
+    u = [ai / bi for ai, bi in zip(a, b)]
+    for i in range(3):
+        w = u[i] * (u[i] + 1)
+        assert sp.cancel((radii[i] - u[i]) * (radii[(i + 1) % 3] - u[i]) - w) == 0
+
+
+def test_bound_8_lattice_matches_the_closed_forms():
+    valid = flat = 0
+    for params in product(range(1, 9), repeat=4):
+        m1, n1, m2, n2 = params
+        q1, q2, cross = m1 * m1 + n1 * n1, m2 * m2 + n2 * n2, m1 * n2 + m2 * n1
+        degenerate = m1 * m2 == n1 * n2
+        qa_zero = n2 * q1 == n1 * cross
+        # constraints 3 and 5, constraint 4 reversed, and the angle-sum branch
+        want = (cross > n1 * n2 and n2 * q1 > n1 * cross and n1 * q2 > n2 * cross
+                and n1 * n2 > m1 * m2)
+        record = _scan_tuple(params)
+        assert record.degenerate == degenerate, params
+        assert record.valid_flower_count == want, params
+        assert (record.discriminant_square is None) == (degenerate or qa_zero), params
+        if want:
+            (flower,) = solve_radii(cosines_from_params(SoddyParams(*params))).valid_flowers
+            assert flower.petals == closed_form_radii(F(m1), n1, m2, n2), params
+        valid += want
+        flat += qa_zero and not degenerate
+    assert (valid, flat) == (188, 20)
 
 
 def test_integer_pair_check_rejects_a_radius_moved_by_one():
