@@ -1,11 +1,13 @@
 """Command-line front end.
 
 One subcommand per capability: ``pn`` and ``cn`` print polynomials,
-``verify`` runs the structural identity checks, ``soddy-gen`` expands one
-parameter tuple end to end, ``soddy-scan`` audits a parameter lattice,
-``graham`` emits integer curvature quadruples, ``pyth`` enumerates
-generalized Pythagorean triples, and ``flower check``/``flower render``
-validate and draw a configuration given by radii.
+``verify`` prints the structural identity checks ``flowerpoly.verify`` runs
+(one ``--<check>`` flag per entry of ``flowerpoly.VERIFY_CHECKS``, none
+meaning all), ``soddy-gen`` expands one parameter tuple end to end,
+``soddy-scan`` audits a parameter lattice, ``graham`` emits integer
+curvature quadruples, ``pyth`` enumerates generalized Pythagorean triples,
+and ``flower check``/``flower render`` validate and draw a configuration
+given by radii.
 
 Conventions: results go to stdout (or ``--out``), diagnostics to stderr.
 Exit code 0 means success, 1 means a verification-style command found a
@@ -13,9 +15,9 @@ failure, 2 means the invocation itself was bad (unknown flags, sizes beyond
 the ceiling ``flowerpoly.MAX_N`` and the other size ceilings, malformed
 rationals, an ``--out`` path that cannot be opened), and 3 means an
 internal error: one ``internal error:`` line on stderr, no traceback.
-Numeric inputs are exact rational strings like ``23/2``.  The handlers
-parse and print only: every tolerance, ceiling and range gate lives in the
-library module that does the work.
+Numeric inputs are exact rationals ``p`` or ``p/q``, like ``23/2``.  The
+handlers parse and print only: every tolerance, ceiling, range gate and
+check plan lives in the library module that does the work.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
-from itertools import chain, permutations
+from itertools import chain
 from typing import Iterable, Iterator
 
 from . import discrepancy, flowerpoly, geometry, pythag, soddy
-from .flowerpoly import MAX_N, FlowerPolySet, SizeLimitError
+from .flowerpoly import FlowerPolySet, SizeLimitError
 from .ratpoly import parse_rational
 
 
@@ -93,8 +94,8 @@ def _cmd_cn(args, stdout, stderr) -> int:
         # Only from n = 2 on is the closure product the square of P_n.
         raise UsageError(f"cn needs n >= 2, got {args.n}")
     try:
+        cn = flowerpoly.closure_product_poly(args.n)  # its gate runs before P_n is built
         pn = flowerpoly.flower_poly(args.n)
-        cn = flowerpoly.closure_product_poly(args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "text":
@@ -107,37 +108,13 @@ def _cmd_cn(args, stdout, stderr) -> int:
     return 0
 
 
-# The block compositions the recursion check uses, one per n in its range.
-_COMPOSITIONS = {3: (2, 1), 4: (2, 2), 5: (2, 1, 2)}
-
-
-def _symmetry_perms(n: int) -> list[tuple[int, ...]]:
-    perms = list(permutations(range(n)))
-    return perms if n <= 4 else random.Random(0).sample(perms, 40)
-
-
-# How ``verify`` runs each check of ``flowerpoly.VERIFY_CHECKS`` at n.
-_VERIFY_RUNS = {
-    "square": lambda n: [flowerpoly.verify_square(n)],
-    "symmetry": lambda n: [flowerpoly.verify_symmetry(n, _symmetry_perms(n))],
-    "specialization": lambda n: [flowerpoly.verify_specialization(n, i) for i in range(n)],
-    "recursion": lambda n: [flowerpoly.verify_general_recursion(n, _COMPOSITIONS[n])],
-    "monic": lambda n: [flowerpoly.verify_monic(n)],
-}
-
-
 def _cmd_verify(args, stdout, stderr) -> int:
-    n = args.n
-    if n < 2 or n > MAX_N:
-        raise UsageError(f"verify supports n in 2..{MAX_N}, got {n}")
-    chosen = [name for name in flowerpoly.VERIFY_CHECKS if getattr(args, name)]
-    reports: list[flowerpoly.CheckReport] = []
-    for name, (low, high) in flowerpoly.VERIFY_CHECKS.items():
-        if args.all or not chosen or name in chosen:
-            if low <= n <= high:
-                reports.extend(_VERIFY_RUNS[name](n))
-            else:
-                stderr.write(f"skipped: {name} (supports n in {low}..{high}, got {n})\n")
+    chosen = [] if args.all else [c for c in flowerpoly.VERIFY_CHECKS if getattr(args, c)]
+    try:
+        reports, skipped = flowerpoly.verify(args.n, chosen)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    stderr.writelines(f"skipped: {line}\n" for line in skipped)
     ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = [
@@ -313,12 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run structural identity checks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--square", action="store_true")
-    p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--specialization", action="store_true")
-    p.add_argument("--recursion", action="store_true")
-    p.add_argument("--monic", action="store_true")
+    for check in ("all", *flowerpoly.VERIFY_CHECKS):
+        p.add_argument(f"--{check}", action="store_true")
     common(p, fmt=("text", "json"))
     p.set_defaults(func=_cmd_verify)
 

@@ -16,10 +16,10 @@ This module builds that polynomial three ways:
 The last two, the paper's products of conjugates, are ``block_product`` over
 the blocks (n-1, 1) and (n); other compositions give its block recursion.
 
-The verify_* helpers check the structural identities relating these routes
-(square decomposition, symmetry, specialization at x_i = 1, and the general
-block recursion), returning small report objects instead of bare booleans so
-a failure carries the first differing term.
+The verify_* checks (square, symmetry, monic degree, specialization at
+x_i = 1, block recursion) return reports naming the first differing term.
+``VERIFY_CHECKS`` is the whole plan of ``flowerlab verify`` (the checks in
+run order, the petal counts and the inputs of each); ``verify`` runs it.
 
 ``radius_expansion`` performs the n = 3 change of variables from cosines to
 radii: substituting the law-of-cosines expression for each cosine into the
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from itertools import permutations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
 from .ratpoly import Coeff, Exponents, SparsePoly, norm_form, poly_json_chunks
@@ -54,19 +55,6 @@ _RECURSION_CACHE: dict[int, SparsePoly] = {}
 
 def clear_cache() -> None:
     _RECURSION_CACHE.clear()
-
-
-# The checks of ``verify`` in the order it runs them, each with the petal
-# counts it supports.  The square, specialization and monic gates read their
-# range from here; the recursion range is that of the CLI's default
-# compositions (``verify_general_recursion`` itself is gated by cost).
-VERIFY_CHECKS = {
-    "square": (2, 5),
-    "symmetry": (3, MAX_N),  # the two-variable case is asymmetric by design
-    "specialization": (3, MAX_N),
-    "recursion": (3, 5),
-    "monic": (2, MAX_N),
-}
 
 
 def _check_n(n: int, low: int, high: int, what: str) -> None:
@@ -195,15 +183,6 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
 # -- structural checks ---------------------------------------------------------
 
 
-def first_difference(a: SparsePoly, b: SparsePoly) -> Optional[tuple[Exponents, Coeff, Coeff]]:
-    """Leading term (canonical order) where two polynomials disagree, or None."""
-    diff = a - b
-    if not diff:
-        return None
-    exps = diff.sorted_terms()[0][0]
-    return exps, a.coefficient(exps), b.coefficient(exps)
-
-
 @dataclass(frozen=True)
 class CheckReport:
     name: str
@@ -211,40 +190,38 @@ class CheckReport:
     ok: bool
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
+
+def _compare(name: str, n: int, got: SparsePoly, want: SparsePoly, where: str = "",
+             pair: str = "{} vs {}", ok_detail: str = "") -> CheckReport:
+    """A report on ``got == want``: a pass carries ``ok_detail``, a failure
+    ``where`` and the first term (canonical order) where they differ, with
+    its two coefficients put in ``pair``."""
+    diff = got - want
+    if not diff:
+        return CheckReport(name, n, True, ok_detail)
+    exps = diff.sorted_terms()[0][0]
+    detail = f"first differing term {exps}: "
+    detail += pair.format(got.coefficient(exps), want.coefficient(exps))
+    return CheckReport(name, n, False, f"{where}, {detail}" if where else detail)
 
 
 def verify_square(n: int) -> CheckReport:
     """Does the closure product equal the square of the flower polynomial?"""
-    _check_n(n, *VERIFY_CHECKS["square"], "verify_square")
+    _check_n(n, *VERIFY_CHECKS["square"][0], "verify_square")
     pn = flower_poly(n)
-    cn = closure_product_poly(n)
-    diff = first_difference(cn, pn * pn)
-    if diff is None:
-        return CheckReport("square", n, True)
-    exps, lhs, rhs = diff
-    return CheckReport(
-        "square", n, False,
-        f"first differing term {exps}: closure={lhs}, square={rhs}",
-    )
+    return _compare("square", n, closure_product_poly(n), pn * pn,
+                    pair="closure={}, square={}")
 
 
 def verify_specialization(n: int, index: int) -> CheckReport:
     """Setting x_index := 1 must give the square of the (n-1)-petal polynomial."""
-    _check_n(n, *VERIFY_CHECKS["specialization"], "verify_specialization")
+    _check_n(n, *VERIFY_CHECKS["specialization"][0], "verify_specialization")
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range")
     specialized = flower_poly(n).specialize(index, 1)
     smaller = flower_poly(n - 1)
-    diff = first_difference(specialized, smaller * smaller)
-    if diff is None:
-        return CheckReport("specialization", n, True)
-    exps, lhs, rhs = diff
-    return CheckReport(
-        "specialization", n, False,
-        f"x_{index + 1}:=1, first differing term {exps}: {lhs} vs {rhs}",
-    )
+    return _compare("specialization", n, specialized, smaller * smaller,
+                    where=f"x_{index + 1}:=1")
 
 
 def verify_general_recursion(n: int, composition: Sequence[int]) -> CheckReport:
@@ -258,30 +235,30 @@ def verify_general_recursion(n: int, composition: Sequence[int]) -> CheckReport:
     if n - len(composition) > 4:
         raise ValueError(f"composition {composition} of {n} exceeds the cost gate")
     pn = flower_poly(n)  # refuses n beyond MAX_N before the product is built
-    diff = first_difference(block_product(n, composition), pn)
-    if diff is None:
-        return CheckReport("general-recursion", n, True, f"composition {composition}")
-    exps, lhs, rhs = diff
-    return CheckReport(
-        "general-recursion", n, False,
-        f"composition {composition}, first differing term {exps}: {lhs} vs {rhs}",
-    )
+    where = f"composition {composition}"
+    return _compare("general-recursion", n, block_product(n, composition), pn,
+                    where=where, ok_detail=where)
 
 
-def verify_symmetry(n: int, permutations: Sequence[Sequence[int]]) -> CheckReport:
-    """The polynomial must be invariant under each given variable permutation."""
+def verify_symmetry(n: int) -> CheckReport:
+    """The polynomial must be invariant under every variable permutation for
+    n <= 4, and under a seeded sample of 40 of them for n >= 5: a sample,
+    not a proof."""
     pn = flower_poly(n)
-    for perm in permutations:
+    perms = list(permutations(range(n)))
+    if n >= 5:
+        perms = random.Random(0).sample(perms, 40)
+    for perm in perms:
         if pn.permute(perm) != pn:
-            return CheckReport("symmetry", n, False, f"not invariant under {tuple(perm)}")
-    return CheckReport("symmetry", n, True, f"{len(permutations)} permutations")
+            return CheckReport("symmetry", n, False, f"not invariant under {perm}")
+    return CheckReport("symmetry", n, True, f"{len(perms)} permutations")
 
 
 def verify_monic(n: int) -> CheckReport:
     """Degree in every variable must be 2^(n-2); the leading coefficient is
     the constant 1 in every variable for n >= 3 (for n = 2 only the last
     variable carries +1, the first carries -1)."""
-    _check_n(n, *VERIFY_CHECKS["monic"], "verify_monic")
+    _check_n(n, *VERIFY_CHECKS["monic"][0], "verify_monic")
     pn = flower_poly(n)
     want = 1 << (n - 2)
     for i in range(n):
@@ -297,6 +274,43 @@ def verify_monic(n: int) -> CheckReport:
                 f"leading coefficient in x{i + 1} is {lead.pretty()}, want {expect}",
             )
     return CheckReport("monic", n, True)
+
+
+# The block composition the recursion check uses at each n in its range.
+_RECURSION_COMPOSITIONS = {3: (2, 1), 4: (2, 2), 5: (2, 1, 2)}
+
+# The plan of ``verify``: each check in run order, with the petal counts it
+# supports (the square, specialization and monic gates read them here) and
+# how it runs at n, looking the verify_* functions up as module globals at
+# call time so that a wrapper set on this module sees every call.
+VERIFY_CHECKS = {
+    "square": ((2, 5), lambda n: [verify_square(n)]),
+    # The two-variable case is asymmetric by design.
+    "symmetry": ((3, MAX_N), lambda n: [verify_symmetry(n)]),
+    "specialization": ((3, MAX_N),
+                       lambda n: [verify_specialization(n, i) for i in range(n)]),
+    "recursion": ((min(_RECURSION_COMPOSITIONS), max(_RECURSION_COMPOSITIONS)),
+                  lambda n: [verify_general_recursion(n, _RECURSION_COMPOSITIONS[n])]),
+    "monic": ((2, MAX_N), lambda n: [verify_monic(n)]),
+}
+
+
+def verify(n: int, checks: Iterable[str] = ()) -> tuple[list[CheckReport], list[str]]:
+    """Run the named checks of ``VERIFY_CHECKS`` (all when none is named) at
+    n in table order.  Returns the reports and, for each chosen check whose
+    range leaves out n, a line like ``symmetry (supports n in 3..6, got 2)``."""
+    ranges = [bounds for bounds, _ in VERIFY_CHECKS.values()]
+    _check_n(n, min(low for low, _ in ranges), max(high for _, high in ranges), "verify")
+    chosen = set(checks) or VERIFY_CHECKS.keys()
+    reports, skipped = [], []
+    for name, ((low, high), run) in VERIFY_CHECKS.items():
+        if name not in chosen:
+            continue
+        if low <= n <= high:
+            reports.extend(run(n))
+        else:
+            skipped.append(f"{name} (supports n in {low}..{high}, got {n})")
+    return reports, skipped
 
 
 # -- numeric variety membership --------------------------------------------------

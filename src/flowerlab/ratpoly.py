@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, Sequence
@@ -54,12 +55,20 @@ def normalize_coeff(value: Coeff) -> Coeff:
     return value
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational from a string like ``-3``, ``3/4`` or ``-3/4``."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """Parse an exact rational ``p`` or ``p/q``, optionally signed and
+    padded with whitespace.  Decimals and exponents (``1e10000000`` has
+    10 M digits) are refused, so int parsing's 4,300-digit limit bounds it."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def parse_int_list(raw, what: str) -> tuple[int, ...]:

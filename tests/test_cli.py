@@ -14,7 +14,7 @@ import pytest
 from flowerlab import cli, flowerpoly, geometry, pythag, soddy
 from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
-from flowerlab.ratpoly import poly_from_obj
+from flowerlab.ratpoly import SparsePoly, poly_from_obj
 from oracles import evaluate_by_fractions
 
 
@@ -108,6 +108,18 @@ def test_verify_skips_infeasible_checks():
     code, out, err = call(["verify", "--n", "2", "--all"])
     assert code == 0
     assert "symmetry" in err
+
+
+def test_verify_reports_every_failing_check(monkeypatch):
+    x1 = SparsePoly.variable(4, 0)
+    monkeypatch.setitem(flowerpoly._RECURSION_CACHE, 4, flower_poly(4) + x1 ** 4)
+    code, out, err = call(["verify", "--n", "4"])
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert len(lines) == 8 and all(line.startswith("FAIL ") for line in lines)
+    code, out, _ = call(["verify", "--n", "4", "--format", "json"])
+    assert code == 1
+    assert [r["ok"] for r in json.loads(out)] == [False] * 8
 
 
 def test_soddy_gen_reference_params():
@@ -285,6 +297,23 @@ def test_flower_check_usage_errors():
     assert code == 2
     code, _, err = call(["flower", "check", "1", "-2", "3", "4"])
     assert code == 2
+
+
+def test_flower_check_refuses_exponent_notation_at_once():
+    # Fraction would expand 1e10000000 to a 33-million-bit radius first.
+    start = time.perf_counter()
+    code, out, err = call(["flower", "check", "1e10000000", "1", "1", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", "error: not a rational number: '1e10000000'\n")
+    code, out, _ = call(["flower", "check", " 6 ", "69", "+46", "46/2"])
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_cn_gate_runs_before_the_recursion():
+    flowerpoly.clear_cache()
+    code, out, err = call(["cn", "--n", "6"])
+    assert (code, out) == (2, "")
+    assert flowerpoly._RECURSION_CACHE == {}
 
 
 def test_flower_render_to_file(tmp_path):

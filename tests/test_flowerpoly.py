@@ -3,11 +3,13 @@
 import math
 import random
 from importlib import resources
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
+from flowerlab import flowerpoly
 from flowerlab.flowerpoly import (
+    CheckReport,
     FlowerPolySet,
     SizeLimitError,
     closure_product_poly,
@@ -17,6 +19,7 @@ from flowerlab.flowerpoly import (
     radius_expansion,
     random_flower_angles,
     variety_residual,
+    verify,
     verify_general_recursion,
     verify_monic,
     verify_specialization,
@@ -149,12 +152,53 @@ def test_specialization_identity():
 
 
 def test_symmetry():
-    assert verify_symmetry(3, list(permutations(range(3)))).ok
-    assert verify_symmetry(4, list(permutations(range(4)))).ok
-    rng = random.Random(11)
-    sample = rng.sample(list(permutations(range(5))), 40)
-    assert verify_symmetry(5, sample).ok
-    assert not verify_symmetry(2, [(1, 0)]).ok  # the two-variable case is not
+    assert verify_symmetry(3) == CheckReport("symmetry", 3, True, "6 permutations")
+    assert verify_symmetry(4) == CheckReport("symmetry", 4, True, "24 permutations")
+    # from n = 5 on, a seeded sample of 40 permutations
+    assert verify_symmetry(5) == CheckReport("symmetry", 5, True, "40 permutations")
+    # the two-variable case is not symmetric
+    assert verify_symmetry(2) == CheckReport("symmetry", 2, False, "not invariant under (1, 0)")
+
+
+def test_every_check_reports_a_corrupted_polynomial(monkeypatch):
+    x1 = SparsePoly.variable(4, 0)
+    monkeypatch.setitem(flowerpoly._RECURSION_CACHE, 4, flower_poly(4) + x1 ** 4)
+    reports, skipped = verify(4)
+    assert skipped == []
+    assert [r.name for r in reports] == [
+        "square", "symmetry", *["specialization"] * 4, "general-recursion", "monic"]
+    assert not any(r.ok for r in reports)
+    for r in reports:
+        if r.name in ("square", "specialization", "general-recursion"):
+            assert "first differing term (" in r.detail, r
+    assert reports[0].detail == "first differing term (7, 1, 1, 1): closure=-8, square=-16"
+    assert reports[2].detail.startswith("x_1:=1, first differing term ")
+    assert reports[6].detail.startswith("composition (2, 2), first differing term ")
+    assert reports[7].detail == "leading coefficient in x1 is 2, want 1"
+
+
+def test_verify_plan():
+    reports, skipped = verify(2)
+    assert [(r.name, r.ok) for r in reports] == [("square", True), ("monic", True)]
+    assert skipped == ["symmetry (supports n in 3..6, got 2)",
+                       "specialization (supports n in 3..6, got 2)",
+                       "recursion (supports n in 3..5, got 2)"]
+    reports, skipped = verify(6, ["monic", "square"])  # run in table order
+    assert [r.name for r in reports] == ["monic"]
+    assert skipped == ["square (supports n in 2..5, got 6)"]
+    reports, _ = verify(5, ["recursion"])
+    assert reports == [CheckReport("general-recursion", 5, True, "composition (2, 1, 2)")]
+    for n in (1, 7):
+        with pytest.raises(ValueError, match=f"verify supports n in 2..6, got {n}"):
+            verify(n)
+
+
+def test_verify_calls_the_checks_through_the_module(monkeypatch):
+    # Span tracing wraps the module attributes, so the plan must look them up.
+    calls = []
+    monkeypatch.setattr(flowerpoly, "verify_monic", lambda n: calls.append(n) or "m")
+    assert verify(3, ["monic"]) == (["m"], [])
+    assert calls == [3]
 
 
 def test_monicity():

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -249,6 +250,26 @@ def test_rational_parse_and_format():
         parse_rational("seven")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_parse_rational_accepts_only_p_and_p_over_q():
+    assert parse_rational("+4/6") == F(2, 3)
+    assert parse_rational("\t-12\n") == -12
+    for bad in ("1e10000000", "1e6", "1.5", ".5", "1_000", "3/-4", "3/+4", "- 3",
+                "3 / 4", "1/2/3", "", "inf", "nan", "٣"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(bad)
+    # int parsing's 4,300-digit limit bounds the size of what is accepted
+    with pytest.raises(ValueError, match="not a rational number"):
+        parse_rational("1" * 5000)
+    assert parse_rational("1" * 4300) == int("1" * 4300)
+
+
+def test_p5_fixture_parses():
+    text = resources.files("flowerlab").joinpath("data/p5.json").read_text()
+    poly, names = poly_from_obj(json.loads(text))
+    assert names == ["x1", "x2", "x3", "x4", "x5"]
+    assert poly_dumps(poly) + "\n" == text
 
 
 def test_duplicate_monomial_rejected_in_json():
