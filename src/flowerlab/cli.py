@@ -90,9 +90,6 @@ def _cmd_pn(args, stdout, stderr) -> int:
 
 
 def _cmd_cn(args, stdout, stderr) -> int:
-    if args.n < 2:
-        # Only from n = 2 on is the closure product the square of P_n.
-        raise UsageError(f"cn needs n >= 2, got {args.n}")
     try:
         cn = flowerpoly.closure_product_poly(args.n)  # its gate runs before P_n is built
         pn = flowerpoly.flower_poly(args.n)
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pn", help="print the n-petal flower polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--route", choices=("recursive", "product"), default="recursive",
-                   help="construction route (product is gated to n <= 5)")
+                   help=f"construction route (both go up to n = {flowerpoly.MAX_N})")
     common(p)
     p.set_defaults(func=_cmd_pn)
 

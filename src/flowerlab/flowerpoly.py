@@ -15,6 +15,13 @@ This module builds that polynomial three ways:
 
 The last two, the paper's products of conjugates, are ``block_product`` over
 the blocks (n-1, 1) and (n); other compositions give its block recursion.
+It takes one product per sign generator, so each route is bounded only by
+what it builds: P_n up to ``MAX_N``, the closure product P_n^2 up to n = 5.
+
+P_n (n = 3..6) is irreducible over Q, and so over Z, being monic.  It is
+monic in x_n (``verify_monic``), so any factorisation survives setting
+x_1..x_{n-1} to rationals, and a test finds the specialisation at
+x_i = (l_i - 1)/(l_i + 1), l = 3, 5, 7, 11, 13, irreducible of degree 2^(n-2).
 
 The verify_* checks (square, symmetry, monic degree, specialization at
 x_i = 1, block recursion) return reports naming the first differing term.
@@ -34,10 +41,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
+from .mixedring import apply_sign, cos_sin_over_slots, poly_at_mixed
 from .ratpoly import Coeff, Exponents, SparsePoly, norm_form, poly_json_chunks
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
@@ -60,22 +67,6 @@ def clear_cache() -> None:
 def _check_n(n: int, low: int, high: int, what: str) -> None:
     if not isinstance(n, int) or not low <= n <= high:
         raise ValueError(f"{what} supports n in {low}..{high}, got {n}")
-
-
-def _product(factors: Sequence[MixedElement]) -> MixedElement:
-    # Balanced pairing keeps intermediate term counts low; the result is
-    # independent of association order.
-    items = list(factors)
-    if not items:
-        raise ValueError("empty product")
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(items[i] * items[i + 1])
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
 
 
 def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
@@ -134,10 +125,10 @@ def flower_poly_from_product(n: int) -> SparsePoly:
     over all sign masks acting on the first n-1 variables: the block
     product over the blocks (n-1, 1).
 
-    Independent of the recursion route; gated to n <= 5 because the product
-    has 2^(n-2) factors.
+    Independent of the recursion route, and bounded like it by ``MAX_N``:
+    the norm tower never builds the 2^(n-2) factors one by one.
     """
-    _check_n(n, 2, 5, "flower_poly_from_product")
+    _check_n(n, 2, MAX_N, "flower_poly_from_product")
     return block_product(n, (n - 1, 1))
 
 
@@ -147,9 +138,10 @@ def closure_product_poly(n: int) -> SparsePoly:
 
     This is the defining construction of the closure polynomial: all sine
     factors cancel in the full product, and the result is the square of
-    ``flower_poly(n)`` for n >= 2.  Gated to n <= 5 (2^(n-1) factors).
+    ``flower_poly(n)``.  For n = 1 the product is P_1 itself, not its square,
+    so n starts at 2; it stops at 5 because P_6^2 is out of reach.
     """
-    _check_n(n, 1, 5, "closure_product_poly")
+    _check_n(n, 2, 5, "closure_product_poly")
     return block_product(n, (n,))
 
 
@@ -158,26 +150,30 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
     sign choices, where the n angles are split into consecutive blocks of
     the given sizes, c_j is the cosine expansion of block j's angle sum and
     sigma_j ranges over the sign subgroup inside block j.  For k <= 2, P_k
-    is a base case, not the recursion.  There are 2^(n-k) factors; callers
-    gate the size."""
+    is a base case, not the recursion.
+
+    Built as a norm tower.  Generator g negates a term with an odd number
+    of sines among slots 0..g; c_j has an even number, all inside block j,
+    so generators outside block j fix it and each factor is sigma(f) with
+    f = P_k(c_1, ..., c_k).  The generators are commuting involutions, so
+    f <- f * g(f) once for each generator g inside the blocks multiplies
+    sigma(f) over the whole group.
+    """
     composition = tuple(composition)
     if not composition or any(s < 1 for s in composition):
         raise ValueError(f"composition must have positive parts: {composition}")
     if sum(composition) != n:
         raise ValueError(f"composition {composition} does not sum to {n}")
-    outer = flower_poly(len(composition))
-    block_cos, block_groups = [], []
+    block_cos, generators = [], []
     offset = 0
     for size in composition:
         block_cos.append(cos_sin_over_slots(n, range(offset, offset + size))[0])
-        # The sign subgroup inside the block: generators offset..offset+size-2.
-        block_groups.append(range(0, 1 << (offset + size - 1), 1 << offset))
+        generators.extend(range(offset, offset + size - 1))
         offset += size
-    factors = []
-    for choice in product(*block_groups):
-        args = [apply_sign(gens, ec) for gens, ec in zip(choice, block_cos)]
-        factors.append(poly_at_mixed(outer, args))
-    return _product(factors).to_poly()
+    f = poly_at_mixed(flower_poly(len(composition)), block_cos)
+    for g in generators:
+        f = f * apply_sign(1 << g, f)
+    return f.to_poly()
 
 
 # -- structural checks ---------------------------------------------------------
@@ -232,8 +228,6 @@ def verify_general_recursion(n: int, composition: Sequence[int]) -> CheckReport:
     composition = tuple(composition)
     if len(composition) < 2:
         raise ValueError(f"composition must have >= 2 positive parts: {composition}")
-    if n - len(composition) > 4:
-        raise ValueError(f"composition {composition} of {n} exceeds the cost gate")
     pn = flower_poly(n)  # refuses n beyond MAX_N before the product is built
     where = f"composition {composition}"
     return _compare("general-recursion", n, block_product(n, composition), pn,

@@ -7,7 +7,8 @@ variables present.
 
 This ring is the independent oracle for the flower polynomial: the
 definitional product routes in ``flowerpoly`` multiply sign conjugates of
-angle-sum expansions here, while ``flower_poly`` itself never leaves plain
+angle-sum expansions here, as a norm tower with one product f * g(f) per
+sign generator g, while ``flower_poly`` itself never leaves plain
 polynomial arithmetic.  The module provides
 
 * ``cos_sin_over_slots``: the expansions of cos and sin of an angle sum,

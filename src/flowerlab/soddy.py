@@ -11,7 +11,11 @@ Contents:
   -n1*cross/(n2*q1 + n1*cross), is negative).  So r_1 > 0 iff
   n2*q1 > n1*cross: the fourth recorded constraint, n1*cross > n2*q1, is
   reversed, and a tuple has a valid flower iff constraints 3 and 5 hold,
-  the reversed fourth holds, and n1*n2 > m1*m2 (the angle-sum branch);
+  the reversed fourth holds, and n1*n2 > m1*m2 (the angle-sum branch).
+  The parametrization reaches every integer flower: petal curvatures k_i
+  with a rational inner Soddy curvature k_0 come back at center radius 1 from
+  n1/m1 = 2*k_0/(k_0 + k_1 + k_2 - k_3), n2/m2 = 2*k_0/(k_0 + k_2 + k_3 - k_1)
+  (``test_parametrization_reaches_every_integer_flower``, radii 1..40);
 * the exact radii solver ``solve_radii``: given a cosine triple, the three
   pairwise law-of-cosines equations factor as
   (r_i - u)(r_j - u) = w with u = (1-x)/(1+x) and w = u(u+1), and
@@ -398,8 +402,6 @@ class RadiiCandidate:
 @dataclass(frozen=True)
 class SolveReport:
     cosines: CosTriple
-    u: tuple[Fraction, Fraction, Fraction]
-    w: tuple[Fraction, Fraction, Fraction]
     quadratic: tuple[Fraction, Fraction, Fraction]  # a, b, c in a*r^2 + b*r + c
     discriminant: Optional[Fraction]  # None when the equation degenerates to linear
     discriminant_square: Optional[bool]
@@ -466,8 +468,6 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
             raise ValueError(f"cosine {x} outside (-1, 1)")
         abc.append((q - p, q + p, 2 * q))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = abc
-    u = (Fraction(a1, b1), Fraction(a2, b2), Fraction(a3, b3))
-    w = (Fraction(a1 * c1, b1 * b1), Fraction(a2 * c2, b2 * b2), Fraction(a3 * c3, b3 * b3))
     qa_num = (a1 * b2 - a2 * b1) * (a3 * b2 - a2 * b3) - a2 * c2 * b1 * b3
     qc_num = a1 * a3 * c2 * b2
     den = b1 * b2 * b2 * b3
@@ -498,6 +498,9 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
         if disc_square:
             rational_roots = [(s - qc_num, qa_num), (-s - qc_num, qa_num)]
         else:
+            # Only irrational roots are checked in u_i and w_i themselves.
+            u = [Fraction(a, b) for a, b, _ in abc]
+            w = [Fraction(a * c, b * b) for a, b, c in abc]
             irrational_roots = [
                 QuadraticValue.make(Fraction(-qb, 2 * qa), Fraction(1, 2 * qa), disc),
                 QuadraticValue.make(Fraction(-qb, 2 * qa), Fraction(-1, 2 * qa), disc),
@@ -552,8 +555,6 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
 
     return SolveReport(
         cosines=cosines,
-        u=u,
-        w=w,
         quadratic=(qa, qb, qc),
         discriminant=disc,
         discriminant_square=disc_square,

@@ -51,8 +51,13 @@ def test_pn_product_route():
     assert obj["provenance"] == {"pn": "product"}
     poly, _ = poly_from_obj(obj["pn"])
     assert poly == flower_poly(4)
-    code, _, err = call(["pn", "--n", "6", "--route", "product"])
-    assert code == 2  # product route is gated to n <= 5
+    # The product route reaches the ceiling: an independent P_6.
+    code, out, _ = call(["pn", "--n", "6", "--route", "product"])
+    assert code == 0
+    assert json.loads(out)["pn"] == json.loads(call(["pn", "--n", "6"])[1])["pn"]
+    code, out, err = call(["pn", "--n", "7", "--route", "product"])
+    assert code == 2 and out == ""
+    assert err == "error: flower_poly_from_product supports n in 2..6, got 7\n"
 
 
 def test_cn_includes_square():
@@ -70,7 +75,7 @@ def test_cn_below_two_is_usage_error(n, tmp_path):
     target = tmp_path / "cn.json"
     code, out, err = call(["cn", "--n", n, "--out", str(target)])
     assert code == 2 and out == ""
-    assert err == f"error: cn needs n >= 2, got {n}\n"
+    assert err == f"error: closure_product_poly supports n in 2..5, got {n}\n"
     assert not target.exists()
 
 

@@ -97,7 +97,9 @@ def test_five_petal_fixture_file_is_canonical():
 
 
 def test_closure_small_cases():
-    assert closure_product_poly(1) == P1
+    # For n = 1 the closure product is P_1, not its square, so it is refused.
+    with pytest.raises(ValueError, match="supports n in 2..5, got 1"):
+        closure_product_poly(1)
     x1, x2 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     assert closure_product_poly(2) == (x1 - x2) * (x1 - x2)
     assert closure_product_poly(3) == P3 * P3
@@ -109,7 +111,7 @@ def test_closure_gate():
 
 
 def test_product_route_equals_recursion():
-    for n in range(2, 6):
+    for n in range(2, 7):
         assert flower_poly_from_product(n) == flower_poly(n)
 
 

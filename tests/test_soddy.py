@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -332,3 +333,25 @@ def test_round_trip_from_curvatures():
     assert any(f.petals == petals for f in report.valid_flowers)
     scaled = integer_scale(1, petals)
     assert scaled.config == FlowerConfig(F(6), (F(69), F(46), F(23)))
+
+
+def test_parametrization_reaches_every_integer_flower():
+    # Every ordered petal triple with radii in 1..40 whose inner Soddy circle
+    # has rational curvature k0 = k1 + k2 + k3 + 2*sqrt(k1*k2 + k2*k3 + k3*k1)
+    # comes back from its parameters n1/m1 = 2*k0/(k0 + k1 + k2 - k3) and
+    # n2/m2 = 2*k0/(k0 + k2 + k3 - k1), scaled to center radius 1.
+    found = 0
+    for radii in product(range(1, 41), repeat=3):
+        r1, r2, r3 = radii
+        square = r1 * r2 * r3 * (r1 + r2 + r3)
+        root = isqrt(square)
+        if root * root != square:
+            continue
+        k1, k2, k3 = (F(1, r) for r in radii)
+        k0 = k1 + k2 + k3 + 2 * F(root, r1 * r2 * r3)
+        t1, t2 = 2 * k0 / (k0 + k1 + k2 - k3), 2 * k0 / (k0 + k2 + k3 - k1)
+        params = SoddyParams(t1.denominator, t1.numerator, t2.denominator, t2.numerator)
+        report = solve_radii(cosines_from_params(params))
+        assert tuple(r * k0 for r in radii) in [f.petals for f in report.valid_flowers]
+        found += 1
+    assert found == 735

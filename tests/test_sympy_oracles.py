@@ -51,3 +51,16 @@ def test_evaluate_matches_sympy_substitution(n):
         point = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in xs]
         exact = expr.subs({x: sp.Rational(v.numerator, v.denominator) for x, v in zip(xs, point)})
         assert poly.evaluate(point) == Fraction(int(exact.p), int(exact.q))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_flower_poly_is_irreducible(n):
+    # P_n is monic in x_n, so a factorisation would survive specialising
+    # x_1..x_{n-1}; an irreducible specialisation of full degree certifies
+    # that P_n is irreducible over Q (see the flowerpoly docstring).
+    poly = flower_poly(n)
+    for ell in (3, 5, 7, 11, 13)[: n - 1]:
+        poly = poly.specialize(0, Fraction(ell - 1, ell + 1))
+    x = sp.Symbol("x")
+    _, factors = sp.factor_list(to_sympy(poly, [x]), x, domain="QQ")
+    assert [(sp.degree(f, x), k) for f, k in factors] == [(1 << (n - 2), 1)]
