@@ -10,8 +10,8 @@ and ``flower check``/``flower render`` validate and draw a configuration
 given by radii.
 
 Conventions: results go to stdout (or ``--out``), diagnostics to stderr.
-Exit code 0 means success, 1 means a verification-style command found a
-failure, 2 means the invocation itself was bad (unknown flags, sizes beyond
+Exit code 0 means success, 1 means a check failed or the flower is
+invalid, 2 means the invocation itself was bad (unknown flags, sizes beyond
 the ceiling ``flowerpoly.MAX_N`` and the other size ceilings, malformed
 rationals, an ``--out`` path that cannot be opened), and 3 means an
 internal error: one ``internal error:`` line on stderr, no traceback.
@@ -237,6 +237,9 @@ def _cmd_flower_render(args, stdout, stderr) -> int:
     config = _flower_config(args)
     try:
         placements = geometry.layout(config)
+    except geometry.InvalidFlowerError as exc:
+        stderr.write(f"{exc}\n")
+        return 1
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     svg = geometry.render_svg(placements)

@@ -271,7 +271,7 @@ def verify_monic(n: int) -> CheckReport:
 
 
 # The block composition the recursion check uses at each n in its range.
-_RECURSION_COMPOSITIONS = {3: (2, 1), 4: (2, 2), 5: (2, 1, 2)}
+_RECURSION_COMPOSITIONS = {3: (2, 1), 4: (2, 2), 5: (2, 1, 2), 6: (2, 2, 2)}
 
 # The plan of ``verify``: each check in run order, with the petal counts it
 # supports (the square, specialization and monic gates read them here) and

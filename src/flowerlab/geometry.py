@@ -159,17 +159,21 @@ class CirclePlacement:
         return {"x": self.x, "y": self.y, "radius": self.radius, "is_center": self.is_center}
 
 
+class InvalidFlowerError(ValueError):
+    """Raised by ``layout`` for a configuration that fails ``validate_flower``."""
+
+
 def layout(config: FlowerConfig) -> list[CirclePlacement]:
     """Place a validated flower in the plane.
 
     The center coin sits at the origin; petal k sits at distance
     center + petal_k from the origin, rotated by the cumulative sum of the
-    preceding center angles.  Raises for configurations that fail
-    ``validate_flower``.
+    preceding center angles.  Raises ``InvalidFlowerError`` for
+    configurations that fail ``validate_flower``.
     """
     report = validate_flower(config)
     if not report.valid:
-        raise ValueError("not a valid flower: " + "; ".join(report.reasons))
+        raise InvalidFlowerError("not a valid flower: " + "; ".join(report.reasons))
     placements = [CirclePlacement(0.0, 0.0, float(config.center), True)]
     with mp.workdps(DPS):
         angles = [

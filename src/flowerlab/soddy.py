@@ -16,17 +16,11 @@ Contents:
   with a rational inner Soddy curvature k_0 come back at center radius 1 from
   n1/m1 = 2*k_0/(k_0 + k_1 + k_2 - k_3), n2/m2 = 2*k_0/(k_0 + k_2 + k_3 - k_1)
   (``test_parametrization_reaches_every_integer_flower``, radii 1..40);
-* the exact radii solver ``solve_radii``: given a cosine triple, the three
-  pairwise law-of-cosines equations factor as
-  (r_i - u)(r_j - u) = w with u = (1-x)/(1+x) and w = u(u+1), and
-  eliminating r_2, r_3 leaves a quadratic in r_1 that is solved exactly;
-  with the denominators cleared it is QA*r^2 + 2*QC*r + QC over integers,
-  its discriminant 4*w_1*w_2*w_3 is tested for a square with ``isqrt``, and
-  rational roots are back-substituted and re-verified against all three
-  equations in integer cross-multiplications; every root is classified by
-  sign and gated by the numeric angle-sum branch check;
-  irrational roots are ``QuadraticValue``s a + b*sqrt(r), compared by value
-  (a, the sign of b, b^2*r) with no integer factoring;
+* the exact radii solver ``solve_radii``: the three pairwise law-of-cosines
+  equations factor as (r_i - u)(r_j - u) = w with u = (1-x)/(1+x) and
+  w = u(u+1), and eliminating r_2, r_3 leaves an integer quadratic in r_1;
+  every root, rational or not, is back-substituted, re-verified and signed
+  in the integers of Z[sqrt(R)] and gated by the angle-sum branch check;
 * ``sweep_radii``: a float grid-plus-bisection search for positive
   solutions of the same system, kept deliberately independent of the exact
   algebra so the two can audit each other;
@@ -42,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
@@ -87,6 +81,8 @@ class QuadraticValue:
     Equality is decided from the value, by a, the sign of b and b^2*r for
     a + b*sqrt(r).  Radicands r and s mix only when r*s is a rational square,
     that is when both lie in one field Q(sqrt(r)); arithmetic there is exact.
+    It packages irrational radii and tangent curvatures; ``solve_radii``
+    does not use its arithmetic.
     """
 
     base: Fraction
@@ -285,24 +281,14 @@ class ConstraintReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(
-            (self.n1_gt_m1, self.n2_gt_m2, self.cross_gt_product,
-             self.r1_positive, self.r3_positive)
-        )
+        return all(self.as_tuple())
 
     def as_tuple(self) -> tuple[bool, ...]:
         return (self.n1_gt_m1, self.n2_gt_m2, self.cross_gt_product,
                 self.r1_positive, self.r3_positive)
 
     def to_obj(self) -> dict:
-        return {
-            "n1_gt_m1": self.n1_gt_m1,
-            "n2_gt_m2": self.n2_gt_m2,
-            "cross_gt_product": self.cross_gt_product,
-            "r1_positive": self.r1_positive,
-            "r3_positive": self.r3_positive,
-            "all_hold": self.all_hold,
-        }
+        return {**asdict(self), "all_hold": self.all_hold}
 
 
 def constraint_report(p: SoddyParams) -> ConstraintReport:
@@ -426,10 +412,41 @@ class SolveReport:
 _ZERO = Fraction(0)
 
 
-def _pair_equation_ok(a: int, b: int, c: int, na: int, da: int, nb: int, db: int) -> bool:
-    """(r_a - u)(r_b - u) == w for u = a/b, w = a*c/b^2, r_a = na/da and
-    r_b = nb/db, with every denominator multiplied out."""
-    return (na * b - a * da) * (nb * b - a * db) == a * c * da * db
+def _back_substitute(a: int, b: int, c: int, r1: tuple[int, int, int], rad: int):
+    """r = u + w/(r_1 - u) for u = a/b and w = a*c/b^2, where the triple
+    (x, y, m) stands for (x + y*sqrt(rad))/m.  Returns r as such a triple,
+    or None when r_1 = u leaves r undefined."""
+    x, y, m = r1
+    # With t = e + e_y*sqrt(rad): r_1 - u = t/(m*b) and r = a*(t + c*m)/(b*t).
+    e, e_y = x * b - a * m, y * b
+    if not e_y:
+        return (a * (e + c * m), 0, b * e) if e else None
+    # Times the conjugate e - e_y*sqrt(rad), nonzero because rad is no square.
+    norm = e * e - e_y * e_y * rad
+    return (a * (e * (e + c * m) - e_y * e_y * rad), -a * c * m * e_y, b * norm)
+
+
+def _pair_equation_ok(a: int, b: int, c: int, ra: tuple[int, int, int],
+                      rb: tuple[int, int, int], rad: int) -> bool:
+    """(r_a - u)(r_b - u) == w for u = a/b, w = a*c/b^2 and the triples r_a, r_b
+    of ``_back_substitute``, with every denominator multiplied out: the
+    rational part must be a*c*m_a*m_b and the sqrt(rad) part 0."""
+    (xa, ya, ma), (xb, yb, mb) = ra, rb
+    ea, fa = xa * b - a * ma, ya * b
+    eb, fb = xb * b - a * mb, yb * b
+    return ea * eb + fa * fb * rad == a * c * ma * mb and ea * fb + fa * eb == 0
+
+
+def _sign(r: tuple[int, int, int], rad: int) -> int:
+    """Exact sign -1, 0 or 1 of (x + y*sqrt(rad))/m for r = (x, y, m), where
+    rad > 0 unless y = 0."""
+    x, y, m = r
+    sm, sx, sy = (m > 0) - (m < 0), (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:  # one sign, or x or y is 0
+        return sm * (sx or sy)
+    # Opposite signs: compare x^2 with y^2 * rad.
+    d = x * x - y * y * rad
+    return sm * sx * ((d > 0) - (d < 0))
 
 
 def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
@@ -444,22 +461,21 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
         q_a = QA/D,  QA = (a_1*b_2 - a_2*b_1)(a_3*b_2 - a_2*b_3) - a_2*c_2*b_1*b_3,
         q_c = QC/D,  QC = a_1*a_3*c_2*b_2,    q_b = 2*q_c.
 
-    The discriminant is 4*QC*(QC - QA)/D^2 = 4*w_1*w_2*w_3, always positive;
-    it is a rational square iff ``isqrt`` squares back to QC*(QC - QA) = s^2,
-    and then the roots are (-QC + s)/QA and (-QC - s)/QA.  When QA = 0 the
-    one root is -q_c/q_b = -1/2.  Each rational root r_1 = n/m gives
-    r_2 = a_1*(e_1 + c_1*m)/(b_1*e_1) and r_3 = a_3*(e_3 + c_3*m)/(b_3*e_3)
-    with e_k = n*b_k - a_k*m (e_1 = 0 or e_3 = 0 is a degenerate candidate),
-    and all three pairwise equations are re-verified with denominators
-    cleared.  Irrational roots are ``QuadraticValue``s, re-verified in
-    Q(sqrt(disc)).  A candidate is a valid flower only if all radii are
-    positive, all three pairwise equations hold, and the angle-sum branch
-    check passes.
+    The discriminant is 4*QC*(QC - QA)/D^2 = 4*w_1*w_2*w_3 > 0.  With
+    R = QC*(QC - QA), each root is an integer triple (x, y, m) standing for
+    (x + y*sqrt(R))/m: (-QC +/- s, 0, QA) when ``isqrt`` gives R = s^2,
+    (-QC, +/-1, QA) otherwise, and (-1, 0, 2) for -q_c/q_b when QA = 0.
+    Every root takes one path in Z[sqrt(R)]: r_2 and r_3 by
+    ``_back_substitute`` (r_1 = u_1 or u_3 is a degenerate candidate), the
+    three pairwise equations re-verified with denominators cleared, and an
+    exact sign per radius; ``QuadraticValue`` only packages the results.  A
+    valid flower needs positive radii, all three equations and the angle-sum
+    branch check.
     """
     if not isinstance(cosines, CosTriple):
         cosines = CosTriple(*(Fraction(x) for x in cosines))
     xs = cosines.as_tuple()
-    abc = []
+    abc, angles = [], []
     for x in xs:
         p, q = x.numerator, x.denominator
         if p == -q:
@@ -467,91 +483,65 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
         if not (-q < p < q):
             raise ValueError(f"cosine {x} outside (-1, 1)")
         abc.append((q - p, q + p, 2 * q))
+        angles.append(math.acos(p / q))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = abc
     qa_num = (a1 * b2 - a2 * b1) * (a3 * b2 - a2 * b3) - a2 * c2 * b1 * b3
     qc_num = a1 * a3 * c2 * b2
     den = b1 * b2 * b2 * b3
-    qa, qc = Fraction(qa_num, den), Fraction(qc_num, den)
-    qb = 2 * qc
+    qa, qb, qc = Fraction(qa_num, den), Fraction(2 * qc_num, den), Fraction(qc_num, den)
 
     # Double precision decides the branch check except within three orders
     # of magnitude of ``ANGLE_SUM_TOL``; the ambiguous window escalates to
     # 40-digit arithmetic.
-    fast = abs(math.fsum(math.acos(float(x)) for x in xs) - 2.0 * math.pi)
+    fast = abs(math.fsum(angles) - 2.0 * math.pi)
     if fast > 1e3 * ANGLE_SUM_TOL or fast < 1e-3 * ANGLE_SUM_TOL:
         sum_residual = fast
     else:
         sum_residual = angle_sum_residual(xs)
     angle_ok = sum_residual <= ANGLE_SUM_TOL
 
-    # Rational roots as integer pairs (n, m) for n/m.
-    rational_roots: list[tuple[int, int]] = []
-    irrational_roots: list[QuadraticValue] = []
     disc: Optional[Fraction] = None
     disc_square: Optional[bool] = None
+    rad = 0
+    roots = [(-1, 0, 2)]  # linear: -q_c/q_b, with q_b = 2*q_c and q_c > 0
     if qa_num != 0:
         # disc/4 = q_c*(q_c - q_a) = w_1*w_2*w_3 > 0: two distinct real roots.
-        radicand = qc_num * (qc_num - qa_num)
-        disc = Fraction(4 * radicand, den * den)
-        s = isqrt(radicand)
-        disc_square = s * s == radicand
+        rad = qc_num * (qc_num - qa_num)
+        disc = Fraction(4 * rad, den * den)
+        s = isqrt(rad)
+        disc_square = s * s == rad
         if disc_square:
-            rational_roots = [(s - qc_num, qa_num), (-s - qc_num, qa_num)]
+            roots = [(s - qc_num, 0, qa_num), (-s - qc_num, 0, qa_num)]
         else:
-            # Only irrational roots are checked in u_i and w_i themselves.
-            u = [Fraction(a, b) for a, b, _ in abc]
-            w = [Fraction(a * c, b * b) for a, b, c in abc]
-            irrational_roots = [
-                QuadraticValue.make(Fraction(-qb, 2 * qa), Fraction(1, 2 * qa), disc),
-                QuadraticValue.make(Fraction(-qb, 2 * qa), Fraction(-1, 2 * qa), disc),
-            ]
-    else:
-        rational_roots = [(-1, 2)]  # linear: -q_c/q_b, with q_b = 2*q_c and q_c > 0
+            roots = [(-qc_num, 1, qa_num), (-qc_num, -1, qa_num)]
+    rational = disc_square is not False
 
     candidates: list[RadiiCandidate] = []
     flowers: list[FlowerConfig] = []
-    for n1, d1 in rational_roots:
-        r1 = Fraction(n1, d1)
-        # r_k - u_k = e_k/(d1*b_k); r_1 = u_1 or u_3 leaves r_2 or r_3 undefined.
-        e1 = n1 * b1 - a1 * d1
-        e3 = n1 * b3 - a3 * d1
-        if e1 == 0 or e3 == 0:
-            zero = QuadraticValue(_ZERO, _ZERO, _ZERO)
-            candidates.append(RadiiCandidate(
-                QuadraticValue(r1, _ZERO, _ZERO), zero, zero, True, False, False, angle_ok,
-                degenerate=True,
-            ))
-            continue
-        n2, d2 = a1 * (e1 + c1 * d1), b1 * e1
-        n3, d3 = a3 * (e3 + c3 * d1), b3 * e3
-        eq_ok = (
-            _pair_equation_ok(a1, b1, c1, n1, d1, n2, d2)
-            and _pair_equation_ok(a2, b2, c2, n2, d2, n3, d3)
-            and _pair_equation_ok(a3, b3, c3, n3, d3, n1, d1)
+    for r1 in roots:
+        r2 = _back_substitute(a1, b1, c1, r1, rad)
+        r3 = _back_substitute(a3, b3, c3, r1, rad)
+        degenerate = r2 is None or r3 is None  # reported with r_2 = r_3 = 0
+        if degenerate:
+            r2 = r3 = (0, 0, 1)
+        eq_ok = not degenerate and (
+            _pair_equation_ok(a1, b1, c1, r1, r2, rad)
+            and _pair_equation_ok(a2, b2, c2, r2, r3, rad)
+            and _pair_equation_ok(a3, b3, c3, r3, r1, rad)
         )
-        positive = n1 * d1 > 0 and n2 * d2 > 0 and n3 * d3 > 0
-        r2, r3 = Fraction(n2, d2), Fraction(n3, d3)
-        cand = RadiiCandidate(
-            QuadraticValue(r1, _ZERO, _ZERO), QuadraticValue(r2, _ZERO, _ZERO),
-            QuadraticValue(r3, _ZERO, _ZERO), True, positive, eq_ok, angle_ok,
+        positive = not degenerate and (
+            _sign(r1, rad) > 0 and _sign(r2, rad) > 0 and _sign(r3, rad) > 0
         )
+        if rational:
+            values = [QuadraticValue(Fraction(x, m), _ZERO, _ZERO) for x, _, m in (r1, r2, r3)]
+        else:
+            # sqrt(R) = (D/2)*sqrt(disc), so every radius keeps disc's radicand.
+            values = [QuadraticValue.make(Fraction(x, m), Fraction(y * den, 2 * m), disc)
+                      for x, y, m in (r1, r2, r3)]
+        cand = RadiiCandidate(*values, rational, positive, eq_ok, angle_ok, degenerate)
         candidates.append(cand)
-        if cand.valid:
-            flowers.append(FlowerConfig(Fraction(1), (r1, r2, r3)))
-    for root in irrational_roots:
-        # r1 is irrational, u rational, so the divisors cannot vanish;
-        # all arithmetic stays exact in Q(sqrt(disc)).
-        r2q = (root - u[0]).reciprocal() * w[0] + u[0]
-        r3q = (root - u[2]).reciprocal() * w[2] + u[2]
-        eq_ok = (
-            (root - u[0]) * (r2q - u[0]) == w[0]
-            and (r2q - u[1]) * (r3q - u[1]) == w[1]
-            and (r3q - u[2]) * (root - u[2]) == w[2]
-        )
-        positive = root.is_positive() and r2q.is_positive() and r3q.is_positive()
-        candidates.append(
-            RadiiCandidate(root, r2q, r3q, False, positive, eq_ok, angle_ok)
-        )
+        if rational and cand.valid:
+            flowers.append(FlowerConfig(Fraction(1), tuple(v.base for v in values)))
 
     return SolveReport(
         cosines=cosines,

@@ -330,7 +330,36 @@ def test_flower_render_to_file(tmp_path):
     code, out, _ = call(["flower", "render", "6", "69", "46", "23", "--out", "-"])
     assert out == svg
     code, _, err = call(["flower", "render", "1", "1", "1", "1", "--out", "-"])
-    assert code == 2
+    assert code == 1
+
+
+def test_flower_render_of_an_invalid_flower_exits_1(tmp_path, monkeypatch):
+    validations = []
+    validate = geometry.validate_flower
+    monkeypatch.setattr(geometry, "validate_flower",
+                        lambda config: validations.append(config) or validate(config))
+    target = tmp_path / "flower.svg"
+    code, out, err = call(["flower", "render", "1", "1", "1", "1", "--out", str(target)])
+    reasons = validate(geometry.FlowerConfig(1, (1, 1, 1))).reasons
+    assert (code, out) == (1, "")
+    assert err == "not a valid flower: " + "; ".join(reasons) + "\n"
+    assert len(validations) == 1 and not target.exists()
+    # The size ceiling stays a usage error.
+    code, out, err = call(["flower", "render", *["1"] * 8, "--out", str(target)])
+    assert (code, out) == (2, "") and err.startswith("error: ") and not target.exists()
+
+
+def test_flower_render_decides_the_exit_code_by_exception_type(monkeypatch):
+    def refuse(error):
+        def layout(config):
+            raise error
+        return layout
+
+    argv = ["flower", "render", "6", "69", "46", "23", "--out", "-"]
+    monkeypatch.setattr(geometry, "layout", refuse(geometry.InvalidFlowerError("odd petals")))
+    assert call(argv) == (1, "", "odd petals\n")
+    monkeypatch.setattr(geometry, "layout", refuse(ValueError("not a valid flower: x")))
+    assert call(argv) == (2, "", "error: not a valid flower: x\n")
 
 
 def test_out_flag_writes_file(tmp_path):

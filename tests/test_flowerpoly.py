@@ -184,12 +184,14 @@ def test_verify_plan():
     assert [(r.name, r.ok) for r in reports] == [("square", True), ("monic", True)]
     assert skipped == ["symmetry (supports n in 3..6, got 2)",
                        "specialization (supports n in 3..6, got 2)",
-                       "recursion (supports n in 3..5, got 2)"]
+                       "recursion (supports n in 3..6, got 2)"]
     reports, skipped = verify(6, ["monic", "square"])  # run in table order
     assert [r.name for r in reports] == ["monic"]
     assert skipped == ["square (supports n in 2..5, got 6)"]
     reports, _ = verify(5, ["recursion"])
     assert reports == [CheckReport("general-recursion", 5, True, "composition (2, 1, 2)")]
+    reports, _ = verify(6, ["recursion"])
+    assert reports == [CheckReport("general-recursion", 6, True, "composition (2, 2, 2)")]
     for n in (1, 7):
         with pytest.raises(ValueError, match=f"verify supports n in 2..6, got {n}"):
             verify(n)

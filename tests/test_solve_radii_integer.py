@@ -2,16 +2,20 @@
 
 ``reference_solve`` below is that solver, kept as the oracle: it eliminates
 r_2 and r_3 with ``Fraction`` arithmetic, solves the r_1 quadratic through
-``sqrt_exact`` and re-verifies every root with Fractions.  ``solve_radii``
-must return the same report, field by field and as byte-identical JSON.
+``sqrt_exact`` and re-verifies every root with Fractions, irrational roots
+in ``QuadraticValue`` arithmetic, which ``solve_radii`` does not use.
+``solve_radii`` must return the same report, field by field and as
+byte-identical JSON.
 """
 
 import dataclasses
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import Optional
 
 import pytest
@@ -26,8 +30,10 @@ from flowerlab.soddy import (
     RadiiCandidate,
     SoddyParams,
     SolveReport,
+    _back_substitute,
     _pair_equation_ok,
     _scan_tuple,
+    _sign,
     cosines_from_params,
     solve_radii,
     sqrt_exact,
@@ -301,19 +307,108 @@ def test_bound_8_lattice_matches_the_closed_forms():
     assert (valid, flat) == (188, 20)
 
 
-def test_integer_pair_check_rejects_a_radius_moved_by_one():
-    cosines = CosTriple(F(-204, 325), F(-152, 377), F(-333, 725))
-    radii = (F(23, 2), F(23, 3), F(23, 6))
+def integer_candidates(cosines):
+    """(a_i, b_i, c_i), R and each candidate's radii as triples (x, y, m)
+    for (x + y*sqrt(R))/m, from the closed forms of the ``solve_radii``
+    docstring."""
     abc = [(x.denominator - x.numerator, x.denominator + x.numerator, 2 * x.denominator)
-           for x in cosines.as_tuple()]
-    for i in range(3):
-        ra, rb = radii[i], radii[(i + 1) % 3]
-        na, da, nb, db = ra.numerator, ra.denominator, rb.numerator, rb.denominator
-        assert _pair_equation_ok(*abc[i], na, da, nb, db)
-        # the same radii with unreduced denominators still pass
-        assert _pair_equation_ok(*abc[i], -3 * na, -3 * da, 5 * nb, 5 * db)
-        assert not _pair_equation_ok(*abc[i], na + da, da, nb, db)
-        assert not _pair_equation_ok(*abc[i], na, da, nb - db, db)
+           for x in cosines]
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = abc
+    qa = (a1 * b2 - a2 * b1) * (a3 * b2 - a2 * b3) - a2 * c2 * b1 * b3
+    qc = a1 * a3 * c2 * b2
+    rad = qc * (qc - qa)
+    s = isqrt(rad)
+    roots = [(s - qc, 0, qa), (-s - qc, 0, qa)] if s * s == rad else [(-qc, 1, qa), (-qc, -1, qa)]
+    return abc, rad, [(r1, _back_substitute(*abc[0], r1, rad), _back_substitute(*abc[2], r1, rad))
+                      for r1 in roots]
+
+
+RATIONAL_COSINES = (F(-204, 325), F(-152, 377), F(-333, 725))  # radii 23/2, 23/3, 23/6
+IRRATIONAL_COSINES = (F(-1, 3), F(-2, 5), F(-1, 4))
+
+
+def test_integer_pair_check_rejects_a_radius_moved_by_one():
+    for cosines in (RATIONAL_COSINES, IRRATIONAL_COSINES):
+        abc, rad, candidates = integer_candidates(cosines)
+        want = reference_solve(cosines).candidates
+        for radii, cand in zip(candidates, want, strict=True):
+            # the triples are the reference's radii
+            assert [QuadraticValue.make(F(x, m), F(y, m), rad) for x, y, m in radii] == [
+                cand.r1, cand.r2, cand.r3]
+            for i in range(3):
+                ra, rb = radii[i], radii[(i + 1) % 3]
+                assert _pair_equation_ok(*abc[i], ra, rb, rad)
+                # the same radii as unreduced triples still pass
+                for k, j in ((-3, 5), (5, -3)):
+                    assert _pair_equation_ok(*abc[i], tuple(k * v for v in ra),
+                                             tuple(j * v for v in rb), rad)
+                for part in range(3):
+                    moved_a = tuple(v + (part == n) for n, v in enumerate(ra))
+                    moved_b = tuple(v - (part == n) for n, v in enumerate(rb))
+                    assert not _pair_equation_ok(*abc[i], moved_a, rb, rad), (cosines, part)
+                    assert not _pair_equation_ok(*abc[i], ra, moved_b, rad), (cosines, part)
+
+
+def bracket_sign(x: int, y: int, rad: int) -> int:
+    """Sign of x + y*sqrt(rad) from ever finer ``isqrt`` brackets of
+    |y|*sqrt(rad) in Fractions."""
+    t, sy, scale = y * y * rad, (y > 0) - (y < 0), 1
+    while True:
+        s = isqrt(t * scale * scale)
+        lo, hi = sorted((x + sy * F(s, scale), x + sy * F(s + 1, scale)))
+        if s * s == t * scale * scale:
+            return (lo > 0) - (lo < 0) if sy >= 0 else (hi > 0) - (hi < 0)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        scale *= 10
+
+
+def test_exact_sign_agrees_with_a_bracket_oracle_near_cancellation():
+    _, solver_rad, _ = integer_candidates(IRRATIONAL_COSINES)
+    for rad in (2, 3, 10**40 + 1, solver_rad):
+        for y in (1, -1, 7, -7, 10**20 + 3, -(10**20 + 3)):
+            s = isqrt(y * y * rad)
+            for x in (0, s, -s, s + 1, -(s + 1)):
+                want = bracket_sign(x, y, rad)
+                assert _sign((x, y, 1), rad) == -_sign((-3 * x, -3 * y, 3), rad) == want
+                assert _sign((x, y, -2), rad) == -want, (x, y, rad)
+    for x in (5, 0, -5):
+        assert _sign((x, 0, 1), 7) == bracket_sign(x, 0, 7) == (x > 0) - (x < 0)
+
+
+def irrational_triples(count: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    rng, out = random.Random(20), []
+    while len(out) < count:
+        triple = tuple(F(rng.randint(-99, 99), 100) for _ in range(3))
+        if reference_solve(triple).discriminant_square is False:
+            out.append(triple)
+    return out
+
+
+def test_every_root_takes_the_integer_path(monkeypatch):
+    triples = irrational_triples(20)
+    want = [reference_solve(t) for t in triples]
+    made = []
+    make = QuadraticValue.make.__func__
+    monkeypatch.setattr(QuadraticValue, "make",
+                        classmethod(lambda cls, *a: made.append(a) or make(cls, *a)))
+
+    def refuse(*args):
+        raise AssertionError("QuadraticValue arithmetic on the solve path")
+
+    for name in ("__add__", "__sub__", "__mul__", "reciprocal"):
+        monkeypatch.setattr(QuadraticValue, name, refuse)
+    for triple, report in zip(triples, want):
+        made.clear()
+        got = solve_radii(triple)
+        assert json.dumps(got.to_obj()) == json.dumps(report.to_obj())
+        for c, d in zip(got.candidates, report.candidates, strict=True):
+            for q, r in ((c.r1, d.r1), (c.r2, d.r2), (c.r3, d.r3)):
+                assert representation(q) == representation(r)
+        assert len(made) == 3 * len(got.candidates) == 6  # one per irrational radius
+    made.clear()
+    solve_radii(RATIONAL_COSINES)
+    assert made == []
 
 
 # -- properties of the solver and the scan ----------------------------------------
