@@ -292,10 +292,13 @@ VERIFY_CHECKS = {
 def verify(n: int, checks: Iterable[str] = ()) -> tuple[list[CheckReport], list[str]]:
     """Run the named checks of ``VERIFY_CHECKS`` (all when none is named) at
     n in table order.  Returns the reports and, for each chosen check whose
-    range leaves out n, a line like ``symmetry (supports n in 3..6, got 2)``."""
+    range leaves out n, a line like ``symmetry (supports n in 3..6, got 2)``.
+    A name outside the table (or a bare string) raises ValueError."""
     ranges = [bounds for bounds, _ in VERIFY_CHECKS.values()]
     _check_n(n, min(low for low, _ in ranges), max(high for _, high in ranges), "verify")
     chosen = set(checks) or VERIFY_CHECKS.keys()
+    if not chosen <= VERIFY_CHECKS.keys():
+        raise ValueError(f"unknown checks: {sorted(chosen - VERIFY_CHECKS.keys())}")
     reports, skipped = [], []
     for name, ((low, high), run) in VERIFY_CHECKS.items():
         if name not in chosen:

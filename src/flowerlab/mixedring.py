@@ -32,7 +32,7 @@ Like the pure polynomials, elements are immutable and all operations pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .ratpoly import (
     Coeff,
@@ -40,6 +40,7 @@ from .ratpoly import (
     SparsePoly,
     TermMap,
     _mul_into,
+    format_terms,
     normalize_coeff,
     pack_exponents,
     pack_width,
@@ -54,44 +55,25 @@ class MixedElement(TermMap):
 
     __slots__ = ()
 
-    def __init__(self, nvars: int, terms: Mapping[MixedKey, Coeff] | None = None):
-        if nvars < 1:
-            raise ValueError("variable count must be positive")
-        clean: dict[MixedKey, Coeff] = {}
-        if terms:
-            for (exps, ybits), coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-                if ybits < 0 or ybits >> nvars:
-                    raise ValueError(f"y-support {ybits:#x} out of range")
-                coeff = normalize_coeff(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
-                if coeff != 0:
-                    clean[(exps, ybits)] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+    _MIN_NVARS = 1
+
+    @staticmethod
+    def _check_key(nvars: int, key) -> MixedKey:
+        exps, ybits = key
+        exps = SparsePoly._check_key(nvars, exps)
+        if ybits < 0 or ybits >> nvars:
+            raise ValueError(f"y-support {ybits:#x} out of range")
+        return exps, ybits
+
+    @staticmethod
+    def _unit_key(nvars: int) -> MixedKey:
+        return (0,) * nvars, 0
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MixedElement":
-        return cls._raw(nvars, {})
-
-    @classmethod
-    def scalar(cls, nvars: int, value: Coeff) -> "MixedElement":
-        return cls(nvars, {((0,) * nvars, 0): value})
-
-    @classmethod
-    def one(cls, nvars: int) -> "MixedElement":
-        return cls.scalar(nvars, 1)
-
-    @classmethod
     def x_var(cls, nvars: int, index: int) -> "MixedElement":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls._raw(nvars, {(tuple(exps), 0): 1})
+        return cls.from_poly(SparsePoly.variable(nvars, index))
 
     @classmethod
     def y_var(cls, nvars: int, index: int) -> "MixedElement":
@@ -104,13 +86,9 @@ class MixedElement(TermMap):
         return cls._raw(poly.nvars, {(e, 0): c for e, c in poly.items()})
 
     def _lift(self, other) -> "MixedElement | None":
-        if isinstance(other, MixedElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MixedElement.scalar(self.nvars, other)
         if isinstance(other, SparsePoly):
             return MixedElement.from_poly(other)
-        return None
+        return super()._lift(other)
 
     # -- inspection --------------------------------------------------------
 
@@ -125,29 +103,13 @@ class MixedElement(TermMap):
         return SparsePoly(self.nvars, out)
 
     def pretty(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        keys = sorted(
-            self._terms,
-            key=lambda k: (sum(k[0]) + bin(k[1]).count("1"), k[0], k[1]),
-            reverse=True,
-        )
-        for exps, ybits in keys:
-            coeff = self._terms[(exps, ybits)]
-            factors = [
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            factors += [f"y{i + 1}" for i in range(self.nvars) if ybits >> i & 1]
-            mono = "*".join(factors)
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
-            body = mono if (mono and mag == 1) else (f"{mag}*{mono}" if mono else str(mag))
-            sign = "-" if negative else ("" if not parts else "+")
-            parts.append(sign + body)
-        return "".join(parts)
+        """Plain-text form, terms by descending (degree, x exponents, y mask)."""
+        n = self.nvars
+        names = [f"{v}{i + 1}" for v in "xy" for i in range(n)]
+        keys = sorted(self._terms, key=lambda k: (sum(k[0]) + k[1].bit_count(), k), reverse=True)
+        return format_terms(names, (
+            (e + tuple(b >> i & 1 for i in range(n)), self._terms[e, b]) for e, b in keys
+        ))
 
     # -- multiplication ------------------------------------------------------
 
@@ -281,5 +243,5 @@ def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElemen
         for i, e in enumerate(exps):
             if e:
                 term = power(i, e) if term is None else term * power(i, e)
-        total = total + (MixedElement.scalar(nvars, coeff) if term is None else term * coeff)
+        total = total + (MixedElement.const(nvars, coeff) if term is None else term * coeff)
     return total

@@ -38,7 +38,7 @@ import math
 import re
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coeff = int | Fraction
@@ -85,6 +85,22 @@ def format_rational(value: Coeff) -> str:
     return str(Fraction(value))
 
 
+def format_terms(names: Sequence[str], terms: Iterable[tuple[Exponents, Coeff]]) -> str:
+    """Plain-text sum of (exponents, coefficient) pairs in print order, the
+    exponents read against ``names``: a unit coefficient is left out before
+    its factors, a minus sign replaces the plus, and no terms print ``0``."""
+    parts: list[str] = []
+    for exps, coeff in terms:
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+        mag = abs(coeff)
+        if not mono:
+            body = format_rational(mag)
+        else:
+            body = mono if mag == 1 else f"{format_rational(mag)}*{mono}"
+        parts.append("-" + body if coeff < 0 else "+" + body if parts else body)
+    return "".join(parts) or "0"
+
+
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
@@ -93,12 +109,28 @@ class TermMap:
     """Immutable map from term keys to nonzero rational coefficients, with
     the ring plumbing shared by ``SparsePoly`` and the mixed cos/sin ring.
 
-    A subclass supplies its ``__init__`` validation, its constructors,
-    ``_lift`` (an operand as an element of the same ring, or None), ``pretty``
+    A subclass supplies its lowest arity ``_MIN_NVARS``, ``_check_key`` (a
+    key made canonical, or ValueError), ``_unit_key`` (the constant term's
+    key), ``pretty`` (its term order and factor names for ``format_terms``)
     and the ``__mul__`` kernel, which hands scalars to ``_scale``.
     """
 
     __slots__ = ("nvars", "_terms")
+
+    _MIN_NVARS = 0
+
+    def __init__(self, nvars: int, terms: Mapping | None = None):
+        if nvars < self._MIN_NVARS:
+            raise ValueError(f"variable count must be at least {self._MIN_NVARS}, got {nvars}")
+        clean: dict = {}
+        if terms:
+            for key, coeff in terms.items():
+                key = self._check_key(nvars, key)
+                coeff = normalize_coeff(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+                if coeff != 0:
+                    clean[key] = coeff
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -111,6 +143,27 @@ class TermMap:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
         return self
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, nvars: int):
+        return cls(nvars)
+
+    @classmethod
+    def const(cls, nvars: int, value: Coeff):
+        return cls(nvars, {cls._unit_key(nvars): value})
+
+    @classmethod
+    def one(cls, nvars: int):
+        return cls.const(nvars, 1)
+
+    def _lift(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.const(self.nvars, other)
+        return None
 
     # -- inspection --------------------------------------------------------
 
@@ -201,41 +254,25 @@ class SparsePoly(TermMap):
 
     __slots__ = ()
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Coeff] | None = None):
-        if nvars < 0:
-            raise ValueError("variable count must be non-negative")
-        clean: dict[Exponents, Coeff] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent tuple {exps} does not match variable count {nvars}"
-                    )
-                for e in exps:
-                    if not isinstance(e, int) or e < 0:
-                        raise ValueError(f"exponents must be non-negative ints: {exps}")
-                    if e > _MAX_EXPONENT:
-                        raise ValueError(f"exponent overflow: {e}")
-                coeff = normalize_coeff(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
-                if coeff != 0:
-                    clean[exps] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+    @staticmethod
+    def _check_key(nvars: int, exps) -> Exponents:
+        exps = tuple(exps)
+        if len(exps) != nvars:
+            raise ValueError(
+                f"exponent tuple {exps} does not match variable count {nvars}"
+            )
+        for e in exps:
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponents must be non-negative ints: {exps}")
+            if e > _MAX_EXPONENT:
+                raise ValueError(f"exponent overflow: {e}")
+        return exps
+
+    @staticmethod
+    def _unit_key(nvars: int) -> Exponents:
+        return (0,) * nvars
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars, {})
-
-    @classmethod
-    def const(cls, nvars: int, value: Coeff) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def one(cls, nvars: int) -> "SparsePoly":
-        return cls.const(nvars, 1)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "SparsePoly":
@@ -245,13 +282,6 @@ class SparsePoly(TermMap):
         exps = [0] * nvars
         exps[index] = 1
         return cls(nvars, {tuple(exps): 1})
-
-    def _lift(self, other) -> "SparsePoly | None":
-        if isinstance(other, SparsePoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SparsePoly.const(self.nvars, other)
-        return None
 
     # -- inspection --------------------------------------------------------
 
@@ -263,7 +293,7 @@ class SparsePoly(TermMap):
         return self._terms.get(tuple(exps), 0)
 
     def constant(self) -> Coeff:
-        return self._terms.get((0,) * self.nvars, 0)
+        return self._terms.get(self._unit_key(self.nvars), 0)
 
     def degree_in(self, index: int) -> int:
         """Largest exponent of the given variable; 0 if the variable is absent."""
@@ -407,27 +437,10 @@ class SparsePoly(TermMap):
 
     def pretty(self, var_names: Sequence[str] | None = None) -> str:
         """Plain-text form, e.g. ``x1^2+x2^2+x3^2-2*x1*x2*x3-1``."""
-        if not self._terms:
-            return "0"
-        names = list(var_names) if var_names else default_var_names(self.nvars)
-        if len(names) != self.nvars:
-            raise ValueError("variable name list has wrong length")
-        parts: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
-            if mono:
-                body = mono if mag == 1 else f"{format_rational(mag)}*{mono}"
-            else:
-                body = format_rational(mag)
-            sign = "-" if negative else ("" if not parts else "+")
-            parts.append(sign + body)
-        return "".join(parts)
+        terms = self.sorted_terms()
+        # The zero polynomial prints "0" whatever names it is given.
+        names = resolve_var_names(self.nvars, var_names) if terms else None
+        return format_terms(names, terms)
 
 
 # -- packed monomials -----------------------------------------------------------
@@ -506,8 +519,12 @@ def norm_form(p: SparsePoly, q: SparsePoly, d: SparsePoly) -> SparsePoly:
     return _unpack_terms(acc, p.nvars, bits)
 
 
-def default_var_names(nvars: int) -> list[str]:
-    return [f"x{i + 1}" for i in range(nvars)]
+def resolve_var_names(nvars: int, var_names: Sequence[str] | None = None) -> list[str]:
+    """The given variable names, or the default ``x1..xn`` when none are."""
+    names = list(var_names) if var_names else [f"x{i + 1}" for i in range(nvars)]
+    if len(names) != nvars:
+        raise ValueError("variable name list has wrong length")
+    return names
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -518,11 +535,8 @@ def default_var_names(nvars: int) -> list[str]:
 
 
 def poly_to_obj(poly: SparsePoly, var_names: Sequence[str] | None = None) -> dict:
-    names = list(var_names) if var_names else default_var_names(poly.nvars)
-    if len(names) != poly.nvars:
-        raise ValueError("variable name list has wrong length")
     return {
-        "vars": names,
+        "vars": resolve_var_names(poly.nvars, var_names),
         "terms": [
             {"c": format_rational(c), "e": list(e)} for e, c in poly.sorted_terms()
         ],
@@ -545,7 +559,7 @@ def poly_json_chunks(poly: SparsePoly, depth: int = 0) -> Iterator[str]:
     exps = "[" + p4 + "%s" + p3 + "]" if poly.nvars else "[%s]"
     term = p2 + "{" + p3 + '"c": "%s",' + p3 + '"e": ' + exps + p2 + "}"
     sep = "," + p4
-    names = nested_json(default_var_names(poly.nvars), depth + 1)
+    names = nested_json(resolve_var_names(poly.nvars), depth + 1)
     yield "{" + pad + '  "vars": ' + names + "," + pad + '  "terms": ['
     for i, (e, c) in enumerate(poly.sorted_terms()):
         yield ("," if i else "") + term % (format_rational(c), sep.join(map(str, e)))
@@ -559,6 +573,8 @@ def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
         raise ValueError("polynomial object needs 'vars' and 'terms'") from exc
     if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
         raise ValueError(f"polynomial 'vars' must be a list of names, got {names!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"polynomial 'vars' repeats a name: {names!r}")
     if not isinstance(raw_terms, list):
         raise ValueError(f"polynomial 'terms' must be a list, got {raw_terms!r}")
     nvars = len(names)

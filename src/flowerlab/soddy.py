@@ -449,6 +449,14 @@ def _sign(r: tuple[int, int, int], rad: int) -> int:
     return sm * sx * ((d > 0) - (d < 0))
 
 
+def _three_cosines(cosines: CosTriple | Sequence) -> tuple:
+    """The entries of a ``CosTriple``, or of a sequence that holds three."""
+    xs = cosines.as_tuple() if isinstance(cosines, CosTriple) else tuple(cosines)
+    if len(xs) != 3:
+        raise ValueError(f"need 3 cosines, got {len(xs)}")
+    return xs
+
+
 def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
     """Solve for petal radii (center radius 1) matching an exact cosine triple.
 
@@ -473,7 +481,7 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
     branch check.
     """
     if not isinstance(cosines, CosTriple):
-        cosines = CosTriple(*(Fraction(x) for x in cosines))
+        cosines = CosTriple(*map(Fraction, _three_cosines(cosines)))
     xs = cosines.as_tuple()
     abc, angles = [], []
     for x in xs:
@@ -565,7 +573,7 @@ def sweep_radii(cosines: Sequence) -> list[tuple[float, float, float]]:
     bisected point.  Returns (r1, r2, r3) triples with all entries positive.
     """
     samples, r_min, r_max = 4000, 1e-6, 1e6
-    xs = [float(x) for x in (cosines.as_tuple() if isinstance(cosines, CosTriple) else cosines)]
+    xs = [float(x) for x in _three_cosines(cosines)]
     u = [(1.0 - x) / (1.0 + x) for x in xs]
     w = [ui * (ui + 1.0) for ui in u]
 
@@ -715,9 +723,7 @@ def graham_quadruples(d2_bound: int) -> list[GrahamRecord]:
         for d1 in range(0, d2 + 1):
             prod = d1 * d2
             for m in range(0, d1 // 2 + 1):
-                t = prod - m * m
-                if t < 0:
-                    continue
+                t = prod - m * m  # >= d1*d2 - d1^2/4 >= 0
                 x = isqrt(t)
                 if x * x != t:
                     continue

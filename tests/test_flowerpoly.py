@@ -195,6 +195,13 @@ def test_verify_plan():
     for n in (1, 7):
         with pytest.raises(ValueError, match=f"verify supports n in 2..6, got {n}"):
             verify(n)
+    # An empty report must never stand for "every named check passed".
+    with pytest.raises(ValueError, match=r"unknown checks: \['symetry'\]"):
+        verify(5, ["symetry"])
+    with pytest.raises(ValueError, match="unknown checks"):
+        verify(5, ["monic", "Monic"])
+    with pytest.raises(ValueError, match="unknown checks"):
+        verify(3, "square")  # a bare string is a list of one-letter names
 
 
 def test_verify_calls_the_checks_through_the_module(monkeypatch):

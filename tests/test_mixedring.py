@@ -1,5 +1,7 @@
 """Quotient-ring arithmetic, angle-sum expansions, and sign automorphisms."""
 
+from fractions import Fraction
+
 import pytest
 
 from flowerlab.mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
@@ -143,3 +145,13 @@ def test_poly_at_mixed_substitution():
     b = apply_sign(0b10, a)
     p3 = SparsePoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 1): -2, (0, 0, 0): -1})
     assert (a * b).to_poly() == p3
+
+
+def test_pretty_prints_cosines_before_sines_in_degree_order():
+    ec, es = cos_sin_over_slots(3, range(3))
+    assert ec.pretty() == "x1*x2*x3-x1*y2*y3-x2*y1*y3-x3*y1*y2"
+    assert es.pretty() == "x1*x2*y3+x1*x3*y2+x2*x3*y1-y1*y2*y3"
+    elem = MixedElement(2, {((1, 0), 2): Fraction(-3, 2), ((0, 0), 0): Fraction(1, 3)})
+    assert repr(elem) == "MixedElement(2, '-3/2*x1*y2+1/3')"
+    assert MixedElement.zero(2).pretty() == "0"
+    assert (MixedElement.x_var(2, 1) ** 3 - MixedElement.one(2)).pretty() == "x2^3-1"

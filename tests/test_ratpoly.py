@@ -293,6 +293,7 @@ def test_json_rejects_malformed():
         {"vars": ["x1"], "terms": 5},
         {"vars": ["x1"], "terms": [{"c": "1", "e": 5}]},
         {"vars": ["x1"], "terms": [{"c": "1", "e": [None]}]},
+        {"vars": ["x", "x"], "terms": [{"c": "1", "e": [1, 0]}]},
     ]
     for obj in bad:
         with pytest.raises(ValueError):

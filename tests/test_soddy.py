@@ -170,6 +170,14 @@ def test_solver_rejects_degenerate_cosines():
         solve_radii((F(3, 2), F(0), F(0)))
 
 
+def test_solver_and_sweep_reject_a_cosine_list_not_of_three():
+    for cosines in ([F(1, 2)] * 2, [F(1, 2)] * 4):
+        with pytest.raises(ValueError, match=f"need 3 cosines, got {len(cosines)}"):
+            solve_radii(cosines)
+        with pytest.raises(ValueError, match=f"need 3 cosines, got {len(cosines)}"):
+            sweep_radii(cosines)
+
+
 def test_sweep_agrees_with_solver():
     from flowerlab.discrepancy import solver_sweep_agree
 

@@ -45,11 +45,33 @@ def one(a):
 
 
 def test_both_rings_share_the_core():
+    shared = ("__init__", "zero", "const", "one", "__add__", "__sub__", "__neg__", "__pow__",
+              "__eq__", "__hash__", "_raw")
     for ring in (SparsePoly, MixedElement):
         assert issubclass(ring, TermMap)
         assert "__mul__" in ring.__dict__
-        for name in ("__add__", "__sub__", "__neg__", "__pow__", "__eq__", "__hash__", "_raw"):
+        for name in shared:
             assert name not in ring.__dict__
+    assert "_lift" not in SparsePoly.__dict__
+    assert not hasattr(MixedElement, "scalar")
+
+
+def test_constructor_checks_keys_first_and_coerces_coefficients():
+    bad_keys = [(SparsePoly, 2, (1,)), (SparsePoly, 1, (-1,)), (SparsePoly, 1, (2**63,)),
+                (MixedElement, 2, ((1,), 0)), (MixedElement, 2, ((0, 0), 4)),
+                (MixedElement, 1, ((0,), -1))]
+    for ring, n, key in bad_keys:
+        for coeff in (1, 0):
+            with pytest.raises(ValueError):
+                ring(n, {key: coeff})
+    for ring, low in ((SparsePoly, 0), (MixedElement, 1)):
+        ring(low)
+        with pytest.raises(ValueError, match=f"variable count must be at least {low}"):
+            ring(low - 1)
+    coerced = dict(SparsePoly(1, {(1,): 0.5, (0,): Fraction(4, 2), (2,): Fraction(0)}).items())
+    assert coerced == {(1,): Fraction(1, 2), (0,): 2} and type(coerced[(0,)]) is int
+    assert dict(MixedElement.const(2, Fraction(6, 3)).items()) == {((0, 0), 0): 2}
+    assert MixedElement.zero(2) == MixedElement(2) and not MixedElement.zero(2)
 
 
 @settings(max_examples=100, deadline=None)
