@@ -18,6 +18,11 @@ the blocks (n-1, 1) and (n); other compositions give its block recursion.
 It takes one product per sign generator, so each route is bounded only by
 what it builds: P_n up to ``MAX_N``, the closure product P_n^2 up to n = 5.
 
+``flower_value(xs)`` is the exact P_n(xs) by the tower of the blocks
+(n-1, 1) run at a rational point, on ``mixedring``'s point elements: n-2
+products of dicts with at most 2^(n-2) int entries instead of the 19,449
+terms of P_6, so a flower check never builds or reads the polynomial.
+
 P_n (n = 3..6) is irreducible over Q, and so over Z, being monic.  It is
 monic in x_n (``verify_monic``), so any factorisation survives setting
 x_1..x_{n-1} to rationals, and a test finds the specialisation at
@@ -41,10 +46,19 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .mixedring import apply_sign, cos_sin_over_slots, poly_at_mixed
+from .mixedring import (
+    apply_sign,
+    cos_sin_over_slots,
+    point_cos_sin,
+    point_mul,
+    point_sign,
+    point_squares,
+    poly_at_mixed,
+)
 from .ratpoly import Coeff, Exponents, SparsePoly, norm_form, poly_json_chunks
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
@@ -67,6 +81,11 @@ def clear_cache() -> None:
 def _check_n(n: int, low: int, high: int, what: str) -> None:
     if not isinstance(n, int) or not low <= n <= high:
         raise ValueError(f"{what} supports n in {low}..{high}, got {n}")
+
+
+def _check_ceiling(n: int) -> None:
+    if n > MAX_N:
+        raise SizeLimitError(f"n={n} exceeds the size ceiling {MAX_N}")
 
 
 def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
@@ -105,8 +124,7 @@ def flower_poly(n: int) -> SparsePoly:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"petal count must be a positive integer, got {n}")
-    if n > MAX_N:
-        raise SizeLimitError(f"n={n} exceeds the size ceiling {MAX_N}")
+    _check_ceiling(n)
     cached = _RECURSION_CACHE.get(n)
     if cached is not None:
         return cached
@@ -118,6 +136,32 @@ def flower_poly(n: int) -> SparsePoly:
         result = _norm_form_step(flower_poly(n - 1), n)
     _RECURSION_CACHE[n] = result
     return result
+
+
+def flower_value(xs: Sequence[Coeff]) -> Fraction:
+    """P_n(xs), exact, with no polynomial built: the tower of
+    ``flower_poly_from_product`` at the point.
+
+    With x_i = p_i/q_i, Q = q_1...q_{n-1} and C = Q*cos(t_1+...+t_{n-1})
+    (``point_cos_sin``), f = p_n*Q - q_n*C is Q*q_n*(x_n - cos) as a point
+    element.  f <- f * g(f) for the generators g = 0..n-3 multiplies its
+    2^(n-2) sign conjugates, which leaves one sine-free term, and
+    P_n(xs) = f / (Q*q_n)^(2^(n-2)) is the one division.  That denominator
+    about doubles in digits with each petal, so n stops at ``MAX_N`` like
+    ``flower_poly``.
+    """
+    n = len(xs)
+    if n < 2:
+        raise ValueError(f"flower_value needs at least two coordinates, got {n}")
+    _check_ceiling(n)
+    *head, last = (x if isinstance(x, Fraction) else Fraction(x) for x in xs)
+    big_q = math.prod(x.denominator for x in head)
+    f = {m: -last.denominator * c for m, c in point_cos_sin(head)[0].items()}
+    f[0] = f.get(0, 0) + last.numerator * big_q
+    squares = point_squares(head)
+    for g in range(n - 2):
+        f = point_mul(f, point_sign(1 << g, n - 1, f), squares)
+    return Fraction(f.get(0, 0), (big_q * last.denominator) ** (1 << (n - 2)))
 
 
 def flower_poly_from_product(n: int) -> SparsePoly:

@@ -4,8 +4,11 @@ A flower configuration is a center radius plus a cyclic list of petal radii,
 all exact rationals.  Validation separates two kinds of evidence:
 
 * exact: the consecutive-pair cosines (law of cosines, a degree-0
-  homogeneous expression in the radii) must zero the flower polynomial,
-  which is built only up to ``flowerpoly.MAX_N`` petals;
+  homogeneous expression in the radii) must zero the flower polynomial.
+  ``flowerpoly.flower_value`` evaluates it at the cosines as a tower of
+  sign-conjugate products, so the expanded polynomial is never built; the
+  petal count still stops at ``flowerpoly.MAX_N``, because the residual's
+  digits grow about twofold per petal;
 * numeric: the center angles must actually sum to 2*pi.  The polynomial
   relation alone admits configurations on other angle branches (for example
   one angle equal to the sum of the others), so the angle sum is the
@@ -25,7 +28,9 @@ from typing import Sequence
 
 from mpmath import mp
 
-from .flowerpoly import flower_poly
+# validate_flower does not call flower_poly; the name stays bound because
+# perfbench/spans.py wraps it in this module's __dict__.
+from .flowerpoly import flower_poly, flower_value  # noqa: F401
 from .ratpoly import format_rational
 
 # Decimal digits of the mpmath arithmetic behind the angle sum and the layout.
@@ -122,7 +127,7 @@ def validate_flower(config: FlowerConfig) -> ValidationReport:
     and (for three petals) the exact per-angle range."""
     n = config.n
     cosines = flower_cosines(config)
-    residual = flower_poly(n).evaluate(cosines)
+    residual = flower_value(cosines)
     sum_residual = angle_sum_residual(cosines)
     if n == 3:
         range_ok = tuple(Fraction(-1) < c < 0 for c in cosines)

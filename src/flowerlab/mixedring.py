@@ -18,8 +18,15 @@ polynomial arithmetic.  The module provides
   an int whose bit i switches on generator i (0-based); composition is
   xor and the group is ``range(1 << (n - 1))``.  Generator i negates a term
   exactly when the term contains an odd number of y's among slots 0..i,
-  i.e. when the term "crosses" boundary i;
-* ``poly_at_mixed``: a pure polynomial evaluated at ring elements.
+  i.e. when the term "crosses" boundary i; ``_sign_flips`` turns a group
+  element into the one parity mask both ring forms test terms against;
+* ``poly_at_mixed``: a pure polynomial evaluated at ring elements;
+* the ring at a rational point x_i = p_i/q_i, where y_i = s_i/q_i and
+  s_i^2 = q_i^2 - p_i^2 is an int: a point element is a dict from sine
+  mask to int, and two terms multiply to mask ma ^ mb times
+  prod_{i in ma & mb} (q_i^2 - p_i^2).  ``point_cos_sin``, ``point_mul`` and
+  ``point_sign`` are the expansions, the product and the sign maps there,
+  so ``flowerpoly.flower_value`` runs the norm tower on numbers.
 
 Multiplication keeps no kernel of its own: each operand's terms are grouped
 by y mask, the blocks are multiplied on packed x exponents with
@@ -169,23 +176,31 @@ def _sine_squares(nvars: int, bits: int, mask: int) -> list[tuple[int, int]]:
 # -- sign automorphisms --------------------------------------------------------
 
 
-def apply_sign(gens: int, element: MixedElement) -> MixedElement:
-    """Apply the sign automorphism whose generators are the set bits of ``gens``.
+def _sign_flips(gens: int, nvars: int) -> int:
+    """The y slots whose sines the sign automorphism ``gens`` counts.
 
     A term is negated once per switched-on generator i whose prefix 0..i
     holds an odd number of its y's, so in all exactly when its y-support
-    meets ``flips`` in an odd number of slots, where bit j of ``flips`` is
-    the parity of the generators i >= j.  Pure-x terms are always fixed.
+    meets the returned mask in an odd number of slots: bit j is the parity
+    of the generators i >= j.  Zero exactly when ``gens`` is.
     """
-    n = element.nvars
-    if not isinstance(gens, int) or gens < 0 or gens >> (n - 1):
-        raise ValueError(f"sign mask {gens!r} out of range for {n} variables")
-    if not gens:
-        return element
+    if not isinstance(gens, int) or gens < 0 or gens >> (nvars - 1):
+        raise ValueError(f"sign mask {gens!r} out of range for {nvars} variables")
     flips = 0
-    for j in range(n - 1):
+    for j in range(nvars - 1):
         if (gens >> j).bit_count() & 1:
             flips |= 1 << j
+    return flips
+
+
+def apply_sign(gens: int, element: MixedElement) -> MixedElement:
+    """Apply the sign automorphism whose generators are the set bits of
+    ``gens``: negate the terms whose y-support meets ``_sign_flips`` oddly.
+    Pure-x terms are always fixed."""
+    n = element.nvars
+    flips = _sign_flips(gens, n)
+    if not flips:
+        return element
     return MixedElement._raw(n, {
         key: -c if (key[1] & flips).bit_count() & 1 else c for key, c in element.items()
     })
@@ -245,3 +260,60 @@ def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElemen
                 term = power(i, e) if term is None else term * power(i, e)
         total = total + (MixedElement.const(nvars, coeff) if term is None else term * coeff)
     return total
+
+
+# -- at a rational point ---------------------------------------------------------
+#
+# At x_i = p_i/q_i write y_i = s_i/q_i, where s_i^2 = q_i^2 - p_i^2.  An
+# element whose terms each hold x_i or y_i once in every slot i, such as an
+# angle-sum expansion, is then prod q_i in the denominator times a point
+# element: a dict from sine bitmask m to the int coefficient of
+# prod_{i in m} s_i.  No square root is taken; s_i^2 is the int above.
+
+
+def point_squares(points: Sequence[Fraction]) -> list[int]:
+    """``squares[m]`` = prod_{i in m} (q_i^2 - p_i^2) for every bitmask m of
+    the slots: the factor two point terms multiply by where their sines meet."""
+    squares = [1]
+    for x in points:
+        s2 = x.denominator**2 - x.numerator**2
+        squares += [v * s2 for v in squares]
+    return squares
+
+
+def point_cos_sin(points: Sequence[Fraction]) -> tuple[dict[int, int], dict[int, int]]:
+    """cos and sin of t_1 + ... + t_k at cos(t_i) = points[i], times
+    prod q_i, as point elements.
+
+    The two-term angle-addition rule, one slot at a time: with c, s the
+    expansions over the slots before j, cos gains c*p_j - s*s_j and sin
+    s*p_j + c*s_j, and s_j puts bit j on a mask that had none.
+    """
+    if not points:
+        raise ValueError("need at least one point coordinate")
+    cos, sin = {0: points[0].numerator}, {1: 1}
+    for j, x in enumerate(points[1:], 1):
+        p, bit = x.numerator, 1 << j
+        cos, sin = (
+            {**{m: c * p for m, c in cos.items()}, **{m | bit: -c for m, c in sin.items()}},
+            {**{m: c * p for m, c in sin.items()}, **{m | bit: c for m, c in cos.items()}},
+        )
+    return cos, sin
+
+
+def point_mul(a: dict[int, int], b: dict[int, int], squares: Sequence[int]) -> dict[int, int]:
+    """Product of two point elements: terms with masks ma and mb multiply to
+    mask ma ^ mb times ``squares[ma & mb]`` (``point_squares``)."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma ^ mb
+            out[m] = get(m, 0) + ca * cb * squares[ma & mb]
+    return {m: c for m, c in out.items() if c}
+
+
+def point_sign(gens: int, nvars: int, element: dict[int, int]) -> dict[int, int]:
+    """``apply_sign`` on a point element over ``nvars`` slots."""
+    flips = _sign_flips(gens, nvars)
+    return {m: -c if (m & flips).bit_count() & 1 else c for m, c in element.items()}

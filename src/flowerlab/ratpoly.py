@@ -120,6 +120,8 @@ class TermMap:
     _MIN_NVARS = 0
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
+        if type(nvars) is not int:
+            raise ValueError(f"variable count must be an int, got {nvars!r}")
         if nvars < self._MIN_NVARS:
             raise ValueError(f"variable count must be at least {self._MIN_NVARS}, got {nvars}")
         clean: dict = {}
@@ -437,10 +439,7 @@ class SparsePoly(TermMap):
 
     def pretty(self, var_names: Sequence[str] | None = None) -> str:
         """Plain-text form, e.g. ``x1^2+x2^2+x3^2-2*x1*x2*x3-1``."""
-        terms = self.sorted_terms()
-        # The zero polynomial prints "0" whatever names it is given.
-        names = resolve_var_names(self.nvars, var_names) if terms else None
-        return format_terms(names, terms)
+        return format_terms(resolve_var_names(self.nvars, var_names), self.sorted_terms())
 
 
 # -- packed monomials -----------------------------------------------------------

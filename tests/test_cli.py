@@ -238,6 +238,8 @@ def test_bound_above_the_ceiling_is_usage_error(argv):
 @pytest.mark.parametrize("build, argv", [
     (lambda: flowerpoly.flower_poly(flowerpoly.MAX_N + 1),
      ["pn", "--n", str(flowerpoly.MAX_N + 1)]),
+    (lambda: geometry.validate_flower(geometry.FlowerConfig(1, (1,) * (flowerpoly.MAX_N + 1))),
+     ["flower", "check", *["1"] * (flowerpoly.MAX_N + 2)]),
     (lambda: soddy.scan_lattice(soddy.MAX_SCAN_BOUND + 1),
      ["soddy-scan", "--bound", str(soddy.MAX_SCAN_BOUND + 1)]),
     (lambda: soddy.graham_quadruples(soddy.MAX_GRAHAM_BOUND + 1),
@@ -248,7 +250,7 @@ def test_bound_above_the_ceiling_is_usage_error(argv):
      ["pyth", "--beta", "1", "--bound", str(pythag.MAX_BRUTE_FORCE_BOUND + 1), "--brute-force"]),
     (lambda: pythag.generate_triples(pythag.MAX_BETA + 1, 10),
      ["pyth", "--beta", str(pythag.MAX_BETA + 1), "--bound", "10"]),
-], ids=["flower_poly", "scan_lattice", "graham_quadruples", "generate_triples",
+], ids=["flower_poly", "validate_flower", "scan_lattice", "graham_quadruples", "generate_triples",
         "brute_force_triples", "beta"])
 def test_library_ceilings_refuse_one_past_the_limit(build, argv):
     start = time.perf_counter()

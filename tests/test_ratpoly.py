@@ -241,6 +241,16 @@ def test_pretty_matches_reference_style():
     assert f.pretty() == "3/2*x1-1/3"
 
 
+def test_zero_polynomial_checks_its_names_like_poly_to_obj():
+    zero = SparsePoly.zero(2)
+    assert zero.pretty() == zero.pretty(["a", "b"]) == "0"
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="wrong length"):
+            poly_to_obj(zero, names)
+        with pytest.raises(ValueError, match="wrong length"):
+            zero.pretty(names)
+
+
 def test_rational_parse_and_format():
     assert parse_rational("-3/5") == F(-3, 5)
     assert parse_rational(" 7 ") == 7

@@ -68,6 +68,12 @@ def test_constructor_checks_keys_first_and_coerces_coefficients():
         ring(low)
         with pytest.raises(ValueError, match=f"variable count must be at least {low}"):
             ring(low - 1)
+        # A float arity must not build: its repr would raise TypeError.
+        for arity in (2.0, "2", None, True):
+            with pytest.raises(ValueError, match="variable count must be an int"):
+                ring(arity)
+        with pytest.raises(ValueError, match="variable count must be an int"):
+            ring(2.0, {(1, 0) if ring is SparsePoly else ((1, 0), 0): 1})
     coerced = dict(SparsePoly(1, {(1,): 0.5, (0,): Fraction(4, 2), (2,): Fraction(0)}).items())
     assert coerced == {(1,): Fraction(1, 2), (0,): 2} and type(coerced[(0,)]) is int
     assert dict(MixedElement.const(2, Fraction(6, 3)).items()) == {((0, 0), 0): 2}
