@@ -5,6 +5,8 @@ all exact rationals.  Validation separates two kinds of evidence:
 
 * exact: the consecutive-pair cosines (law of cosines, a degree-0
   homogeneous expression in the radii) must zero the flower polynomial.
+  Each cosine is computed in integers with the radii's denominators
+  cleared, and only the result is a ``Fraction``.
   ``flowerpoly.flower_value`` evaluates it at the cosines as a tower of
   sign-conjugate products, so the expanded polynomial is never built; the
   petal count still stops at ``flowerpoly.MAX_N``, because the residual's
@@ -12,12 +14,16 @@ all exact rationals.  Validation separates two kinds of evidence:
 * numeric: the center angles must actually sum to 2*pi.  The polynomial
   relation alone admits configurations on other angle branches (for example
   one angle equal to the sum of the others), so the angle sum is the
-  deciding check.  It is evaluated with ``DPS``-digit arithmetic against
-  the float tolerance ``ANGLE_SUM_TOL``.
+  deciding check.  It is evaluated at ``PREC`` = 136 bits (``DPS`` = 40
+  digits) on ``mpmath.libmp``'s raw values, with every rounding to nearest
+  as mpmath's context would round it; mpmath's global context is neither
+  read nor changed.  The float residual is compared against the tolerance
+  ``ANGLE_SUM_TOL``.  ``layout`` places petals with the same arccos.
 
 For three petals each center angle of a genuine flower lies strictly
-between 90 and 180 degrees, i.e. its cosine lies in (-1, 0); that range is
-enforced exactly.  For more petals only non-degeneracy is required.
+between 90 and 180 degrees, i.e. its cosine p/q lies in (-1, 0); that range
+is enforced exactly, as -q < p < 0.  For more petals only non-degeneracy
+(-q < p < q) is required.
 """
 
 from __future__ import annotations
@@ -26,15 +32,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp
+from mpmath.libmp import (
+    ComplexResult,
+    dps_to_prec,
+    fzero,
+    from_int,
+    mpf_abs,
+    mpf_acos,
+    mpf_add,
+    mpf_cos,
+    mpf_div,
+    mpf_mul,
+    mpf_pi,
+    mpf_shift,
+    mpf_sin,
+    mpf_sub,
+    mpf_sum,
+    round_nearest,
+    to_float,
+)
 
 # validate_flower does not call flower_poly; the name stays bound because
 # perfbench/spans.py wraps it in this module's __dict__.
 from .flowerpoly import flower_poly, flower_value  # noqa: F401
 from .ratpoly import format_rational
 
-# Decimal digits of the mpmath arithmetic behind the angle sum and the layout.
+# Decimal digits of the mpmath arithmetic behind the angle sum and the layout,
+# and the binary precision (136 bits) they are computed at.
 DPS = 40
+PREC = dps_to_prec(DPS)
+_TWO_PI = mpf_shift(mpf_pi(PREC, round_nearest), 1)
 # Largest |angle sum - 2*pi| a valid flower may show.
 ANGLE_SUM_TOL = 1e-9
 
@@ -69,6 +96,10 @@ class FlowerConfig:
         }
 
 
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def center_angle_cosine(r, ri, rj) -> Fraction:
     """Cosine of the center angle spanned by two adjacent petals.
 
@@ -76,10 +107,15 @@ def center_angle_cosine(r, ri, rj) -> Fraction:
     (r^2 + r*ri + r*rj - ri*rj) / ((r+ri)(r+rj)), which is invariant under
     scaling all three radii.
     """
-    r, ri, rj = Fraction(r), Fraction(ri), Fraction(rj)
-    if r <= 0 or ri <= 0 or rj <= 0:
+    r, ri, rj = _fraction(r), _fraction(ri), _fraction(rj)
+    p, q = r.numerator, r.denominator
+    pi, qi = ri.numerator, ri.denominator
+    pj, qj = rj.numerator, rj.denominator
+    if p <= 0 or pi <= 0 or pj <= 0:
         raise ValueError("radii must be strictly positive")
-    return (r * r + r * ri + r * rj - ri * rj) / ((r + ri) * (r + rj))
+    # Multiplied through by (q*qi*qj)^2: the same quotient in integers.
+    a, b, c = p * qi * qj, pi * q * qj, pj * q * qi
+    return Fraction(a * a + a * b + a * c - b * c, (a + b) * (a + c))
 
 
 @dataclass(frozen=True)
@@ -113,13 +149,33 @@ def flower_cosines(config: FlowerConfig) -> tuple[Fraction, ...]:
     )
 
 
+def _to_mpf(x: Fraction):
+    """x at ``PREC`` bits, rounded as ``mpf(p) / mpf(q)`` rounds it in mpmath's
+    context: numerator, denominator, then the quotient."""
+    return mpf_div(
+        from_int(x.numerator, PREC, round_nearest),
+        from_int(x.denominator, PREC, round_nearest),
+        PREC,
+        round_nearest,
+    )
+
+
+def _angle(cosine: Fraction):
+    """arccos(cosine) at ``PREC`` bits, as a raw ``mpmath.libmp`` value."""
+    try:
+        return mpf_acos(_to_mpf(cosine), PREC, round_nearest)
+    except ComplexResult:
+        raise ValueError(f"cosine {cosine} outside [-1, 1]") from None
+
+
 def angle_sum_residual(cosines: Sequence[Fraction]) -> float:
-    """|sum of arccos(cosines) - 2*pi| evaluated with ``DPS`` digits."""
-    with mp.workdps(DPS):
-        total = mp.fsum(
-            mp.acos(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in map(Fraction, cosines)
-        )
-        return float(abs(total - 2 * mp.pi))
+    """|sum of arccos(cosines) - 2*pi| evaluated with ``DPS`` digits.
+
+    Runs on ``mpmath.libmp`` at ``PREC`` bits and leaves mpmath's global
+    context alone; the float is the 40-digit residual rounded to nearest.
+    """
+    total = mpf_sum([_angle(_fraction(c)) for c in cosines], PREC, round_nearest)
+    return to_float(mpf_abs(mpf_sub(total, _TWO_PI, PREC, round_nearest)), rnd=round_nearest)
 
 
 def validate_flower(config: FlowerConfig) -> ValidationReport:
@@ -130,10 +186,10 @@ def validate_flower(config: FlowerConfig) -> ValidationReport:
     residual = flower_value(cosines)
     sum_residual = angle_sum_residual(cosines)
     if n == 3:
-        range_ok = tuple(Fraction(-1) < c < 0 for c in cosines)
+        range_ok = tuple(-c.denominator < c.numerator < 0 for c in cosines)
         range_msg = "center angle outside (90, 180) degrees"
     else:
-        range_ok = tuple(Fraction(-1) < c < 1 for c in cosines)
+        range_ok = tuple(-c.denominator < c.numerator < c.denominator for c in cosines)
         range_msg = "degenerate center angle"
     reasons: list[str] = []
     if residual != 0:
@@ -180,21 +236,17 @@ def layout(config: FlowerConfig) -> list[CirclePlacement]:
     if not report.valid:
         raise InvalidFlowerError("not a valid flower: " + "; ".join(report.reasons))
     placements = [CirclePlacement(0.0, 0.0, float(config.center), True)]
-    with mp.workdps(DPS):
-        angles = [
-            mp.acos(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in report.cosines
-        ]
-        phi = mp.mpf(0)
-        for k, petal in enumerate(config.petals):
-            dist = mp.mpf((config.center + petal).numerator) / mp.mpf(
-                (config.center + petal).denominator
+    phi = fzero
+    for cosine, petal in zip(report.cosines, config.petals):
+        dist = _to_mpf(config.center + petal)
+        x = mpf_mul(dist, mpf_cos(phi, PREC, round_nearest), PREC, round_nearest)
+        y = mpf_mul(dist, mpf_sin(phi, PREC, round_nearest), PREC, round_nearest)
+        placements.append(
+            CirclePlacement(
+                to_float(x, rnd=round_nearest), to_float(y, rnd=round_nearest), float(petal), False
             )
-            placements.append(
-                CirclePlacement(
-                    float(dist * mp.cos(phi)), float(dist * mp.sin(phi)), float(petal), False
-                )
-            )
-            phi += angles[k]
+        )
+        phi = mpf_add(phi, _angle(cosine), PREC, round_nearest)
     return placements
 
 

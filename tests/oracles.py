@@ -1,7 +1,12 @@
 """Independent constructions the tests check the library against."""
 
 from fractions import Fraction
+from typing import Sequence
 
+from mpmath import mp
+
+from flowerlab.flowerpoly import flower_poly
+from flowerlab.geometry import ANGLE_SUM_TOL, DPS, FlowerConfig
 from flowerlab.mixedring import MixedElement
 from flowerlab.ratpoly import SparsePoly
 
@@ -45,3 +50,49 @@ def evaluate_by_fractions(poly: SparsePoly, point) -> Fraction:
                 term = term * p
         total = total + term
     return Fraction(total)
+
+
+def center_angle_cosine_by_fractions(r, ri, rj) -> Fraction:
+    """The law of cosines for the triangle of sides r+ri, r+rj and ri+rj,
+    in ``Fraction`` arithmetic."""
+    r, ri, rj = Fraction(r), Fraction(ri), Fraction(rj)
+    return (r * r + r * ri + r * rj - ri * rj) / ((r + ri) * (r + rj))
+
+
+def angle_sum_residual_in_mp_context(cosines: Sequence[Fraction]) -> float:
+    """|sum of arccos(cosines) - 2*pi| with mpmath's high-level functions,
+    at ``DPS`` digits set in its global context."""
+    with mp.workdps(DPS):
+        total = mp.fsum(
+            mp.acos(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in map(Fraction, cosines)
+        )
+        return float(abs(total - 2 * mp.pi))
+
+
+def validation_report_obj(config: FlowerConfig) -> dict:
+    """``validate_flower(config).to_obj()`` rebuilt from the oracles above,
+    the expanded flower polynomial and ``Fraction`` range comparisons."""
+    n, r, petals = config.n, config.center, config.petals
+    cosines = [center_angle_cosine_by_fractions(r, petals[i], petals[(i + 1) % n]) for i in range(n)]
+    residual = Fraction(flower_poly(n).evaluate(cosines))
+    sum_residual = angle_sum_residual_in_mp_context(cosines)
+    high = 0 if n == 3 else 1
+    range_ok = [-1 < c < high for c in cosines]
+    reasons = []
+    if residual != 0:
+        reasons.append("cosines do not lie on the flower variety")
+    if sum_residual > ANGLE_SUM_TOL:
+        reasons.append(f"angle sum misses 2*pi by {sum_residual:.3e}")
+    if not all(range_ok):
+        reasons.append(
+            "center angle outside (90, 180) degrees" if n == 3 else "degenerate center angle"
+        )
+    return {
+        "config": {"center": str(r), "petals": [str(p) for p in petals]},
+        "cosines": [str(c) for c in cosines],
+        "variety_residual": str(residual),
+        "angle_sum_residual": sum_residual,
+        "angle_range_ok": range_ok,
+        "valid": not reasons,
+        "reasons": reasons,
+    }

@@ -1,22 +1,32 @@
 """Flower validation from radii, layout tangency, and SVG output."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import (
     CirclePlacement,
     FlowerConfig,
+    angle_sum_residual,
     center_angle_cosine,
     flower_cosines,
     layout,
     render_svg,
     validate_flower,
 )
-from oracles import evaluate_by_fractions
+from oracles import (
+    angle_sum_residual_in_mp_context,
+    center_angle_cosine_by_fractions,
+    evaluate_by_fractions,
+    validation_report_obj,
+)
 
 F = Fraction
 
@@ -185,3 +195,137 @@ def test_render_svg_rejects_empty():
 def test_render_svg_accepts_raw_placements():
     svg = render_svg([CirclePlacement(0.0, 0.0, 1.0, True), CirclePlacement(2.0, 0.0, 1.0, False)])
     assert svg.count("<circle") == 2
+
+
+# sha256 of ``render_svg(layout(...))``, recorded when the layout still ran
+# in mpmath's global context at 40 digits.
+GOLDEN_SVG_SHA256 = {
+    "ROUND_TRIP": "04e286b219d8b5ec53bcdceb0ef2fda0a542471f95862978d50ef557b9869651",
+    "SQUARE_FLOWER": "f3c26b3f932ab6730d88cdb3cfc3f64b0017119c2e6edbcdbae8ca26cbb46a91",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVG_SHA256))
+def test_render_svg_matches_the_recorded_drawing(name):
+    svg = render_svg(layout(globals()[name]))
+    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_SVG_SHA256[name]
+
+
+# Curvatures (b1, b2, b3) of three mutually tangent circles whose inner
+# Soddy circle, of curvature b1 + b2 + b3 + 2*sqrt(b1*b2 + b2*b3 + b3*b1),
+# has an integer curvature: that circle is the center of a genuine flower.
+DESCARTES = [
+    (b1, b2, b3)
+    for b1 in range(1, 31)
+    for b2 in range(b1, 31)
+    for b3 in range(b2, 31)
+    if math.isqrt(b1 * b2 + b2 * b3 + b3 * b1) ** 2 == b1 * b2 + b2 * b3 + b3 * b1
+]
+
+
+def descartes_radii(curvatures, scale, bump=0) -> list:
+    """Radii (center first) of the flower around the inner Soddy circle, as
+    rationals when ``scale`` is 1, else as integers times ``scale``; ``bump``
+    is added to the first petal, which breaks the flower by about
+    bump/scale."""
+    b1, b2, b3 = curvatures
+    b4 = b1 + b2 + b3 + 2 * math.isqrt(b1 * b2 + b2 * b3 + b3 * b1)
+    unit = math.lcm(b1, b2, b3, b4) if scale > 1 else 1
+    radii = [F(unit * scale, b) for b in (b4, b1, b2, b3)]
+    radii[1] += bump
+    return radii
+
+
+POSITIVE_RATIONALS = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
+RADII_256_BIT = st.integers(1 << 255, (1 << 256) - 1)
+
+
+def radii_lists(radius):
+    """Center plus 3..6 petals, each drawn from ``radius``."""
+    return st.integers(3, 6).flatmap(lambda n: st.lists(radius, min_size=n + 1, max_size=n + 1))
+
+
+DESCARTES_FLOWERS = st.builds(
+    descartes_radii, st.sampled_from(DESCARTES), st.one_of(st.just(1), st.integers(2, 1 << 200))
+)
+# Scaled past 136 bits and bumped: angle sums within a few units of the
+# 40-digit working precision, where every rounding step shows in the float.
+NEARLY_DESCARTES_FLOWERS = st.builds(
+    descartes_radii, st.sampled_from(DESCARTES), st.integers(1 << 100, 1 << 300), st.integers(1, 9)
+)
+HEXAGONS = st.integers(1, 1 << 256).map(lambda k: [k] * 7)
+FLOWER_RADII = st.one_of(
+    radii_lists(POSITIVE_RATIONALS),
+    radii_lists(RADII_256_BIT),
+    DESCARTES_FLOWERS,
+    NEARLY_DESCARTES_FLOWERS,
+    HEXAGONS,
+)
+
+
+def config_of(radii) -> FlowerConfig:
+    return FlowerConfig(radii[0], tuple(radii[1:]))
+
+
+def test_descartes_flowers_are_valid_with_a_tiny_angle_sum_residual():
+    assert len(DESCARTES) >= 10
+    for curvatures in DESCARTES:
+        report = validate_flower(config_of(descartes_radii(curvatures, 1)))
+        assert report.valid and report.angle_sum_residual < 1e-35
+
+
+@settings(max_examples=300, deadline=None)
+@given(POSITIVE_RATIONALS, POSITIVE_RATIONALS, st.one_of(POSITIVE_RATIONALS, RADII_256_BIT))
+@example(F(6), F(69), F(46))
+@example(F(1, 10**6), F(10**6), F(1, 3))
+def test_cosine_equals_the_fraction_formula(r, ri, rj):
+    cosine = center_angle_cosine(r, ri, rj)
+    assert type(cosine) is F
+    assert cosine == center_angle_cosine_by_fractions(r, ri, rj)
+    assert center_angle_cosine(rj, ri, r) == center_angle_cosine_by_fractions(rj, ri, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOWER_RADII)
+@example([6, 69, 46, 23])
+@example([1, 2, 3, 2, 3])
+@example([254] * 7)
+@example(descartes_radii(DESCARTES[0], 1))
+@example(descartes_radii((1, 1, 24), 2**127 + 1, 1))
+@example(descartes_radii((1, 1, 12), 2**130 + 1, 1))
+def test_angle_sum_is_bit_identical_to_the_mp_context_oracle(radii):
+    cosines = flower_cosines(config_of(radii))
+    assert angle_sum_residual(cosines).hex() == angle_sum_residual_in_mp_context(cosines).hex()
+
+
+SMALL_RADII = st.fractions(min_value=F(1, 100), max_value=100, max_denominator=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(radii_lists(SMALL_RADII), DESCARTES_FLOWERS))
+@example([6, 69, 46, 23])
+@example([1, 2, 3, 2, 3])
+@example([17] * 7)
+@example([17, 17, 18, 17, 17, 17, 17])
+@example([1, 1, 1, 1])
+@example([1, 2, 3, 2])
+def test_report_equals_the_oracle_report(radii):
+    config = config_of(radii)
+    assert validate_flower(config).to_obj() == validation_report_obj(config)
+
+
+def test_angle_sum_leaves_the_mpmath_context_alone():
+    cosines = flower_cosines(ROUND_TRIP)
+    expected = angle_sum_residual_in_mp_context(cosines)
+    for dps in (15, 100):
+        with mp.workdps(dps):
+            assert angle_sum_residual(cosines) == expected
+            assert mp.dps == dps
+
+
+def test_angle_sum_names_a_cosine_outside_the_unit_interval():
+    for bad in (F(3, 2), F(-7, 5)):
+        with pytest.raises(ValueError, match=f"cosine {bad} outside"):
+            angle_sum_residual([F(-1, 2), bad, F(0)])
+    # The ends of the interval are angles 0 and pi.
+    assert angle_sum_residual([F(-1), F(-1), F(1)]) < 1e-39
