@@ -68,8 +68,8 @@ class MixedElement(TermMap):
     def _check_key(nvars: int, key) -> MixedKey:
         exps, ybits = key
         exps = SparsePoly._check_key(nvars, exps)
-        if ybits < 0 or ybits >> nvars:
-            raise ValueError(f"y-support {ybits:#x} out of range")
+        if type(ybits) is not int or ybits < 0 or ybits >> nvars:
+            raise ValueError(f"y-support {ybits!r} out of range")
         return exps, ybits
 
     @staticmethod

@@ -264,7 +264,7 @@ class SparsePoly(TermMap):
                 f"exponent tuple {exps} does not match variable count {nvars}"
             )
         for e in exps:
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise ValueError(f"exponents must be non-negative ints: {exps}")
             if e > _MAX_EXPONENT:
                 raise ValueError(f"exponent overflow: {e}")

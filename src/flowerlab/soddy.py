@@ -21,6 +21,7 @@ Contents:
   w = u(u+1), and eliminating r_2, r_3 leaves an integer quadratic in r_1;
   every root, rational or not, is back-substituted, re-verified and signed
   in the integers of Z[sqrt(R)] and gated by the angle-sum branch check;
+  ``QuadraticValue`` records each irrational radius for output only;
 * ``sweep_radii``: a float grid-plus-bisection search for positive
   solutions of the same system, kept deliberately independent of the exact
   algebra so the two can audit each other;
@@ -72,17 +73,14 @@ def rational_sine(x) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class QuadraticValue:
-    """Exact number of the form base + coef*sqrt(radicand).
+    """Output record for a number base + coef*sqrt(radicand): irrational
+    radii and tangent curvatures, packaged for ``to_obj()``.
 
-    Perfect-square radicands are folded away at construction, so
-    ``coef != 0`` means the value is genuinely irrational.  Any other radicand
-    p/q is kept as the integer p*q (with coef/q) and never factored, so one
-    value has many forms: 3 + 2*sqrt(3) is also 3 + 1/24*sqrt(6912).
-    Equality is decided from the value, by a, the sign of b and b^2*r for
-    a + b*sqrt(r).  Radicands r and s mix only when r*s is a rational square,
-    that is when both lie in one field Q(sqrt(r)); arithmetic there is exact.
-    It packages irrational radii and tangent curvatures; ``solve_radii``
-    does not use its arithmetic.
+    ``make`` folds perfect-square radicands away, so ``coef != 0`` means the
+    value is irrational.  Any other radicand p/q is kept as the integer p*q
+    (with coef/q) and never factored, so one number has many records:
+    3 + 2*sqrt(3) is also 3 + 1/24*sqrt(6912).  Records compare field by
+    field, not by value, and the library does no arithmetic on them.
     """
 
     base: Fraction
@@ -107,101 +105,15 @@ class QuadraticValue:
     def is_rational(self) -> bool:
         return self.coef == 0
 
-    @property
-    def exact(self) -> Optional[Fraction]:
-        return self.base if self.coef == 0 else None
-
     def approx(self) -> float:
         root = math.sqrt(float(self.coef * self.coef * self.radicand))
         return float(self.base) + (root if self.coef > 0 else -root)
 
-    # -- exact field arithmetic in Q(sqrt(radicand)) --
-
-    def _coerce(self, other) -> "QuadraticValue":
-        if not isinstance(other, QuadraticValue):
-            return QuadraticValue.make(Fraction(other))
-        r, s = self.radicand, other.radicand
-        if not (r and s) or r == s:
-            return other
-        # sqrt(s) = sqrt(r*s)/r * sqrt(r) when r*s is a rational square.
-        root = sqrt_exact(r * s)
-        if root is None:
-            raise ValueError("mixing values from different quadratic fields")
-        return QuadraticValue(other.base, other.coef * root / r, r)
-
-    def _rad(self, other: "QuadraticValue") -> Fraction:
-        return self.radicand if self.radicand else other.radicand
-
     def __add__(self, other) -> "QuadraticValue":
-        other = self._coerce(other)
-        return QuadraticValue.make(
-            self.base + other.base, self.coef + other.coef, self._rad(other)
-        )
-
-    def __radd__(self, other) -> "QuadraticValue":
-        return self.__add__(other)
-
-    def __neg__(self) -> "QuadraticValue":
-        return QuadraticValue(-self.base, -self.coef, self.radicand)
-
-    def __sub__(self, other) -> "QuadraticValue":
-        return self.__add__(-self._coerce(other))
-
-    def __rsub__(self, other) -> "QuadraticValue":
-        return (-self).__add__(other)
-
-    def __mul__(self, other) -> "QuadraticValue":
-        other = self._coerce(other)
-        rad = self._rad(other)
-        return QuadraticValue.make(
-            self.base * other.base + self.coef * other.coef * rad,
-            self.base * other.coef + self.coef * other.base,
-            rad,
-        )
-
-    def __rmul__(self, other) -> "QuadraticValue":
-        return self.__mul__(other)
-
-    def reciprocal(self) -> "QuadraticValue":
-        norm = self.base * self.base - self.coef * self.coef * self.radicand
-        if norm == 0:
-            raise ZeroDivisionError("reciprocal of zero")
-        return QuadraticValue.make(self.base / norm, -self.coef / norm, self.radicand)
-
-    def sign(self) -> int:
-        """Exact sign: -1, 0 or 1."""
-        a, b = self.base, self.coef
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 with b^2 * radicand.
-        lead = 1 if a > 0 else -1
-        return lead if a * a > b * b * self.radicand else -lead
-
-    def is_positive(self) -> bool:
-        return self.sign() > 0
-
-    def _key(self) -> tuple[Fraction, bool, Fraction]:
-        # Irrationals a + b*sqrt(r) = c + d*sqrt(s) have a = c (squaring would
-        # make sqrt(s) rational otherwise), so b, d share a sign and b^2*r = d^2*s.
-        return (self.base, self.coef > 0, self.coef * self.coef * self.radicand)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.coef == 0 and self.base == other
-        if isinstance(other, QuadraticValue):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        if self.coef == 0:
-            return hash(self.base)
-        return hash(self._key())
+        # Only perfbench/test_perfbench.py calls this: it builds a wrong root as cand.r1 + 1.
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return QuadraticValue(self.base + other, self.coef, self.radicand)
 
     def to_obj(self) -> dict:
         out = {"rational": self.is_rational, "approx": self.approx()}
@@ -229,7 +141,7 @@ class SoddyParams:
     def __post_init__(self):
         for name in ("m1", "n1", "m2", "n2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
@@ -449,12 +361,24 @@ def _sign(r: tuple[int, int, int], rad: int) -> int:
     return sm * sx * ((d > 0) - (d < 0))
 
 
-def _three_cosines(cosines: CosTriple | Sequence) -> tuple:
-    """The entries of a ``CosTriple``, or of a sequence that holds three."""
-    xs = cosines.as_tuple() if isinstance(cosines, CosTriple) else tuple(cosines)
-    if len(xs) != 3:
-        raise ValueError(f"need 3 cosines, got {len(xs)}")
-    return xs
+def _cosine_parts(cosines: CosTriple | Sequence) -> tuple[CosTriple, list[tuple[int, int]]]:
+    """A ``CosTriple``, or a sequence that holds three rationals, as a
+    ``CosTriple`` with each cosine's numerator and denominator; every cosine
+    must lie in (-1, 1)."""
+    if not isinstance(cosines, CosTriple):
+        xs = tuple(cosines)
+        if len(xs) != 3:
+            raise ValueError(f"need 3 cosines, got {len(xs)}")
+        cosines = CosTriple(*map(Fraction, xs))
+    parts = []
+    for x in cosines.as_tuple():
+        p, q = x.numerator, x.denominator
+        if p == -q:
+            raise ValueError("cosine -1 gives a degenerate (straight-angle) petal pair")
+        if not -q < p < q:
+            raise ValueError(f"cosine {x} outside (-1, 1)")
+        parts.append((p, q))
+    return cosines, parts
 
 
 def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
@@ -480,16 +404,9 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
     valid flower needs positive radii, all three equations and the angle-sum
     branch check.
     """
-    if not isinstance(cosines, CosTriple):
-        cosines = CosTriple(*map(Fraction, _three_cosines(cosines)))
-    xs = cosines.as_tuple()
+    cosines, parts = _cosine_parts(cosines)
     abc, angles = [], []
-    for x in xs:
-        p, q = x.numerator, x.denominator
-        if p == -q:
-            raise ValueError("cosine -1 gives a degenerate (straight-angle) petal pair")
-        if not (-q < p < q):
-            raise ValueError(f"cosine {x} outside (-1, 1)")
+    for p, q in parts:
         abc.append((q - p, q + p, 2 * q))
         angles.append(math.acos(p / q))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = abc
@@ -505,7 +422,7 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
     if fast > 1e3 * ANGLE_SUM_TOL or fast < 1e-3 * ANGLE_SUM_TOL:
         sum_residual = fast
     else:
-        sum_residual = angle_sum_residual(xs)
+        sum_residual = angle_sum_residual(cosines.as_tuple())
     angle_ok = sum_residual <= ANGLE_SUM_TOL
 
     disc: Optional[Fraction] = None
@@ -570,10 +487,11 @@ def sweep_radii(cosines: Sequence) -> list[tuple[float, float, float]]:
     [1e-6, 1e6], derives r_2 and r_3 from the first and third pairwise
     equations, and bisects sign changes of the second equation's residual.
     Spurious pole crossings are rejected by re-checking the residual at the
-    bisected point.  Returns (r1, r2, r3) triples with all entries positive.
+    bisected point.  Returns (r1, r2, r3) triples with all entries positive;
+    cosines outside (-1, 1) raise ``solve_radii``'s ``ValueError``.
     """
     samples, r_min, r_max = 4000, 1e-6, 1e6
-    xs = [float(x) for x in _three_cosines(cosines)]
+    xs = [float(x) for x in _cosine_parts(cosines)[0].as_tuple()]
     u = [(1.0 - x) / (1.0 + x) for x in xs]
     w = [ui * (ui + 1.0) for ui in u]
 
@@ -871,8 +789,9 @@ class ScanResult:
 
 
 # Largest accepted bound of ``scan_lattice``, which visits bound^4 tuples: at
-# 21 (194,481) ``soddy-scan --out FILE`` takes 14-16 s on 2 vCPUs and at 22
-# 17.6-19.6 s, so 21 keeps the 13-19 s policy of the other ceilings.
+# 21 (194,481) ``soddy-scan --out FILE`` takes about 5 s on 2 vCPUs, peaks at
+# 84 MB and writes 67.6 MB of JSON.  So the output size and the records held
+# until the write, not solving, now limit the bound.
 MAX_SCAN_BOUND = 21
 
 

@@ -96,3 +96,59 @@ def validation_report_obj(config: FlowerConfig) -> dict:
         "valid": not reasons,
         "reasons": reasons,
     }
+
+
+class Surd:
+    """Exact a + b*sqrt(d) for rationals a, b and d >= 0, where d is no
+    rational square unless b = 0.  Operands are rationals or surds over the
+    same d.  Equal values have equal a (else a square root would be rational),
+    so equality compares a, b^2*d and the sign of b*d.  Surds are unhashable."""
+
+    def __init__(self, a, b=0, d=0):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), Fraction(d)
+
+    def _lift(self, other) -> tuple["Surd", Fraction]:
+        o = other if isinstance(other, Surd) else Surd(other)
+        if self.b and o.b and self.d != o.d:
+            raise ValueError("surds over different radicands")
+        return o, self.d if self.b else o.d
+
+    def __add__(self, other) -> "Surd":
+        o, d = self._lift(other)
+        return Surd(self.a + o.a, self.b + o.b, d)
+
+    def __mul__(self, other) -> "Surd":
+        o, d = self._lift(other)
+        return Surd(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> "Surd":
+        return self * -1
+
+    def __sub__(self, other) -> "Surd":
+        return self + -other
+
+    def __rsub__(self, other) -> "Surd":
+        return -self + other
+
+    def reciprocal(self) -> "Surd":
+        norm = self.a * self.a - self.b * self.b * self.d  # ZeroDivisionError at 0
+        return Surd(self.a / norm, -self.b / norm, self.d)
+
+    def sign(self) -> int:
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b * self.d > 0) - (self.b * self.d < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # Opposite signs: the larger of a^2 and b^2*d wins.
+        return sa if self.a * self.a > self.b * self.b * self.d else -sa
+
+    def __eq__(self, other) -> bool:
+        o = other if isinstance(other, Surd) else Surd(other)
+        return (self.a, self.b * self.b * self.d, self.b * self.d > 0) == (
+            o.a, o.b * o.b * o.d, o.b * o.d > 0)
+
+
+def surd_of(value) -> Surd:
+    """A ``QuadraticValue`` record as a ``Surd``."""
+    return Surd(value.base, value.coef, value.radicand)

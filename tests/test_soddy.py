@@ -1,6 +1,7 @@
 """Rational cosine parametrization, radii solving, and curvature machinery."""
 
 import random
+from dataclasses import make_dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -31,6 +32,7 @@ from flowerlab.soddy import (
     tangent_curvatures,
 )
 from flowerlab.soddy import _scan_tuple
+from oracles import Surd, surd_of as surd
 
 F = Fraction
 
@@ -48,6 +50,9 @@ def test_params_validation():
         SoddyParams(0, 1, 1, 1)
     with pytest.raises(ValueError):
         SoddyParams(1, 1, 1, -2)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="m1 must be a positive integer"):
+            SoddyParams(bad, 2, 3, 4)
 
 
 def test_constraints_examples():
@@ -93,14 +98,14 @@ def test_descartes_identity():
 
 def test_tangent_curvatures():
     a, b = tangent_curvatures(2, 3, 6)
-    assert a.exact == 23 and b.exact == -1
+    assert a.is_rational and b.is_rational and (a.base, b.base) == (23, -1)
     c, d = tangent_curvatures(1, 2, 3)
     assert not c.is_rational and not d.is_rational
     assert c.base == 6 and c.radicand == 11 and c.coef == 2
     assert d.coef == -2
     # equal curvatures k give k*(3 +/- 2*sqrt(3)), always irrational
     e, f = tangent_curvatures(2, 2, 2)
-    assert e == QuadraticValue.make(6, 4, 3) and f == QuadraticValue.make(6, -4, 3)
+    assert surd(e) == Surd(6, 4, 3) and surd(f) == Surd(6, -4, 3)
     with pytest.raises(ValueError):
         tangent_curvatures(1, -5, 1)
 
@@ -110,31 +115,43 @@ def test_tangent_curvatures_satisfy_descartes_exactly():
     for _ in range(50):
         ks = [F(rng.randrange(1, 30), rng.randrange(1, 6)) for _ in range(3)]
         for companion in tangent_curvatures(*ks):
-            values = [QuadraticValue.make(k) for k in ks] + [companion]
-            lhs = sum((v * v for v in values), QuadraticValue.make(0))
-            total = sum(values, QuadraticValue.make(0))
-            assert lhs * 2 == total * total
+            values = [*ks, surd(companion)]
+            assert sum(v * v for v in values) * 2 == sum(values) * sum(values)
 
 
 def test_quadratic_value_algebra():
-    v = QuadraticValue.make(3, 2, 3)
-    assert v == QuadraticValue.make(3, F(1, 24), 6912)  # same value, other radicand
-    assert QuadraticValue.make(1, 2, 9).exact == 7  # perfect square folds
+    v = surd(QuadraticValue.make(3, 2, 3))
+    assert v == surd(QuadraticValue.make(3, F(1, 24), 6912))  # same value, other radicand
+    assert QuadraticValue.make(1, 2, 9) == QuadraticValue(F(7), F(0), F(0))  # square folds
     assert v.sign() == 1 and (-v).sign() == -1
-    assert QuadraticValue.make(3, -2, 3).sign() == -1  # 3 < 2*sqrt(3)
-    assert QuadraticValue.make(4, -2, 3).sign() == 1
-    assert (v * v.reciprocal()).exact == 1
-    assert (v - v).exact == 0
+    assert Surd(3, -2, 3).sign() == -1  # 3 < 2*sqrt(3)
+    assert Surd(4, -2, 3).sign() == 1
+    assert v * v.reciprocal() == 1
+    assert v - v == 0
     with pytest.raises(ValueError):
-        QuadraticValue.make(0, 1, 2) + QuadraticValue.make(0, 1, 3)
+        Surd(0, 1, 2) + Surd(0, 1, 3)
     with pytest.raises(ValueError):
         QuadraticValue.make(0, 1, -2)
+
+
+def test_quadratic_value_is_an_output_record():
+    # The library does no arithmetic on these values and compares them field
+    # by field; the tests' Surd does the arithmetic.
+    record = make_dataclass("Record", ["base", "coef", "radicand"], frozen=True)
+    own = set(vars(QuadraticValue)) - set(vars(record))
+    assert own == {"make", "is_rational", "approx", "to_obj", "__add__"}
+    v = QuadraticValue.make(3, 2, 3)
+    assert v == QuadraticValue.make(3, 2, 3) != QuadraticValue.make(3, F(1, 24), 6912)
+    assert hash(v) == hash((v.base, v.coef, v.radicand)) and QuadraticValue.make(7) != 7
+    assert v + 1 == QuadraticValue(F(4), F(2), F(3))
+    with pytest.raises(TypeError):
+        v + v
 
 
 def test_solver_on_reference_triple():
     report = solve_radii(REFERENCE_TRIPLE)
     assert report.discriminant_square
-    roots = sorted(c.r1.exact for c in report.candidates)
+    roots = sorted(c.r1.base for c in report.candidates if c.r1.is_rational)
     assert roots == [F(-26), F(-26, 51)]
     assert all(c.equations_ok for c in report.candidates)
     assert not any(c.positive for c in report.candidates)
@@ -158,16 +175,20 @@ def test_solver_symmetric_triple_is_irrational():
     assert len(good) == 1
     cand = good[0]
     assert not cand.rational
-    expected = QuadraticValue.make(3, 2, 3)
-    assert cand.r1 == expected and cand.r2 == expected and cand.r3 == expected
+    expected = Surd(3, 2, 3)
+    assert surd(cand.r1) == surd(cand.r2) == surd(cand.r3) == expected
     assert report.valid_flowers == ()  # irrational flowers are not listed
 
 
 def test_solver_rejects_degenerate_cosines():
-    with pytest.raises(ValueError):
-        solve_radii((F(-1), F(0), F(0)))
-    with pytest.raises(ValueError):
-        solve_radii((F(3, 2), F(0), F(0)))
+    # The float sweep shares the exact solver's check and its messages.
+    bad = [((F(-1), F(0), F(0)), "cosine -1 gives a degenerate"),
+           ((F(3, 2), F(0), F(0)), "cosine 3/2 outside"),
+           ((0, 1, 0), "cosine 1 outside"), ((0.5, 0.5, -1.0), "cosine -1 gives")]
+    for cosines, message in bad:
+        for solve in (solve_radii, sweep_radii):
+            with pytest.raises(ValueError, match=message):
+                solve(cosines)
 
 
 def test_solver_and_sweep_reject_a_cosine_list_not_of_three():
@@ -332,8 +353,8 @@ def test_valid_solutions_satisfy_descartes():
 
 def test_round_trip_from_curvatures():
     up, _ = tangent_curvatures(2, 3, 6)
-    assert up.exact == 23
-    quad = CurvatureQuad(2, 3, 6, up.exact)
+    assert up.is_rational and up.base == 23
+    quad = CurvatureQuad(2, 3, 6, up.base)
     assert descartes_check(quad)
     # center = smallest circle, petals = the other three, scaled to center 1
     petals = tuple(F(23, 1) / b for b in (2, 3, 6))

@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowerlab.flowerpoly import flower_poly
+from flowerlab.soddy import sqrt_exact
+from oracles import Surd
 
 sp = pytest.importorskip("sympy")
 
@@ -64,3 +68,21 @@ def test_flower_poly_is_irreducible(n):
     x = sp.Symbol("x")
     _, factors = sp.factor_list(to_sympy(poly, [x]), x, domain="QQ")
     assert [(sp.degree(f, x), k) for f, k in factors] == [(1 << (n - 2), 1)]
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=40), min_size=5, max_size=5))
+def test_surd_arithmetic_matches_sympy(values):
+    # Surd is the tests' reference for irrational radii: check it once more.
+    a1, b1, a2, b2, d = (sp.Rational(v.numerator, v.denominator) for v in values)
+    assume(d > 0 and sqrt_exact(values[4]) is None)
+    x, y = (Surd(*values[i:i + 2], values[4]) for i in (0, 2))
+    ex, ey = a1 + b1 * sp.sqrt(d), a2 + b2 * sp.sqrt(d)
+    for got, want in ((x + y, ex + ey), (x - y, ex - ey), (x * y, ex * ey),
+                      (x * values[2] + values[3], ex * a2 + b2)):
+        assert sp.expand(sp.radsimp(want) - got.a - got.b * sp.sqrt(d)) == 0
+    if a1 or b1:
+        got = x.reciprocal()
+        assert sp.expand(sp.radsimp(1 / ex) - got.a - got.b * sp.sqrt(d)) == 0
+    assert x.sign() == sp.sign(ex) and (x == y) == (a1 == a2 and b1 == b2)

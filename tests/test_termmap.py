@@ -59,7 +59,12 @@ def test_both_rings_share_the_core():
 def test_constructor_checks_keys_first_and_coerces_coefficients():
     bad_keys = [(SparsePoly, 2, (1,)), (SparsePoly, 1, (-1,)), (SparsePoly, 1, (2**63,)),
                 (MixedElement, 2, ((1,), 0)), (MixedElement, 2, ((0, 0), 4)),
-                (MixedElement, 1, ((0,), -1))]
+                (MixedElement, 1, ((0,), -1)),
+                # bools and other non-ints are no exponents or sine masks: a
+                # (True,) key would be written as invalid JSON
+                (SparsePoly, 1, (True,)), (SparsePoly, 1, (1.0,)),
+                (MixedElement, 1, ((True,), 0)), (MixedElement, 1, ((0,), True)),
+                (MixedElement, 1, ((0,), "1")), (MixedElement, 1, ((0,), 1.0))]
     for ring, n, key in bad_keys:
         for coeff in (1, 0):
             with pytest.raises(ValueError):
