@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 from . import discrepancy, flowerpoly, geometry, pythag, soddy
 from .flowerpoly import FlowerPolySet, SizeLimitError
-from .ratpoly import parse_rational
+from .ratpoly import parse_rational, wire
 
 
 class UsageError(Exception):
@@ -140,27 +140,25 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
         solved = soddy.solve_radii(cosines)
     except ValueError as exc:
         raise UsageError(f"params {params.as_tuple()}: {exc}") from exc
-    ratios = soddy.graham_inverse(params)
-    sines = [soddy.rational_sine(x) for x in cosines.as_tuple()]
     scaled = None
     if solved.valid_flowers:
         flower = solved.valid_flowers[0]
-        scaled = soddy.integer_scale(flower.center, flower.petals).to_obj()
-    payload = {
-        "params": list(params.as_tuple()),
-        "cosines": cosines.to_obj(),
-        "sines": [None if s is None else str(s) for s in sines],
-        "constraints": constraints.to_obj(),
-        "solve": solved.to_obj(),
+        scaled = soddy.integer_scale(flower.center, flower.petals)
+    payload = wire({
+        "params": params.as_tuple(),
+        "cosines": cosines,
+        "sines": [soddy.rational_sine(x) for x in cosines.as_tuple()],
+        "constraints": constraints,
+        "solve": solved,
         "integer_scaled": scaled,
-        "curvature_ratios": ratios.to_obj(),
-    }
+        "curvature_ratios": soddy.graham_inverse(params),
+    })
     if args.format == "text":
         lines = [
             f"params: {params.as_tuple()}",
-            f"cosines: {', '.join(cosines.to_obj())}",
+            f"cosines: {', '.join(payload['cosines'])}",
             f"constraints hold: {constraints.all_hold}",
-            f"valid flowers: {[f.to_obj() for f in solved.valid_flowers]}",
+            f"valid flowers: {payload['solve']['valid_flowers']}",
         ]
         _emit(("\n".join(lines), "\n"), args.out, stdout)
     else:

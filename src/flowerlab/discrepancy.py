@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .flowerpoly import RadiusExpansion, radius_coefficients_symmetric, radius_expansion
 from .geometry import FlowerConfig, center_angle_cosine, validate_flower
-from .ratpoly import SparsePoly, format_rational
+from .ratpoly import SparsePoly, format_rational, wire
 from .soddy import (
     CosTriple,
     SoddyParams,
@@ -149,15 +149,15 @@ def radius_example_report() -> dict:
     # reference radii solve the system (validation is scale invariant).
     agree_solver_validator = validation.valid == reference_is_solution
 
-    return {
-        "params": list(REFERENCE_PARAMS.as_tuple()),
-        "cosines": cosines.to_obj(),
-        "reference_radii": [format_rational(r) for r in REFERENCE_RADII],
-        "reference_scaled": REFERENCE_SCALED.to_obj(),
-        "reference_rescale_check": scaled.to_obj(),
-        "solver": solved.to_obj(),
-        "sweep_positive_roots": [list(t) for t in swept],
-        "validator": validation.to_obj(),
+    return wire({
+        "params": REFERENCE_PARAMS.as_tuple(),
+        "cosines": cosines,
+        "reference_radii": REFERENCE_RADII,
+        "reference_scaled": REFERENCE_SCALED,
+        "reference_rescale_check": scaled,
+        "solver": solved,
+        "sweep_positive_roots": swept,
+        "validator": validation,
         "reference_pair_equations": pairwise_equation_checks(reference_flower, cosines),
         "internal_agreement": {
             "solver_vs_sweep": agree_solver_sweep,
@@ -169,7 +169,7 @@ def radius_example_report() -> dict:
             "validator_accepts_scaled": validation.valid,
             "scaling_factor_matches": scaled.config == REFERENCE_SCALED,
         },
-    }
+    })
 
 
 def _poly_from_terms(terms: dict) -> SparsePoly:

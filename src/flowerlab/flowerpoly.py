@@ -79,7 +79,7 @@ def clear_cache() -> None:
 
 
 def _check_n(n: int, low: int, high: int, what: str) -> None:
-    if not isinstance(n, int) or not low <= n <= high:
+    if type(n) is not int or not low <= n <= high:
         raise ValueError(f"{what} supports n in {low}..{high}, got {n}")
 
 
@@ -122,7 +122,7 @@ def flower_poly(n: int) -> SparsePoly:
     n >= 3.  Term counts grow exponentially with n, so sizes beyond
     ``MAX_N`` raise ``SizeLimitError`` rather than being attempted.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"petal count must be a positive integer, got {n}")
     _check_ceiling(n)
     cached = _RECURSION_CACHE.get(n)
@@ -204,7 +204,7 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
     sigma(f) over the whole group.
     """
     composition = tuple(composition)
-    if not composition or any(s < 1 for s in composition):
+    if not composition or any(type(s) is not int or s < 1 for s in composition):
         raise ValueError(f"composition must have positive parts: {composition}")
     if sum(composition) != n:
         raise ValueError(f"composition {composition} does not sum to {n}")

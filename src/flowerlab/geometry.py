@@ -55,7 +55,7 @@ from mpmath.libmp import (
 # validate_flower does not call flower_poly; the name stays bound because
 # perfbench/spans.py wraps it in this module's __dict__.
 from .flowerpoly import flower_poly, flower_value  # noqa: F401
-from .ratpoly import format_rational
+from .ratpoly import Record
 
 # Decimal digits of the mpmath arithmetic behind the angle sum and the layout,
 # and the binary precision (136 bits) they are computed at.
@@ -67,7 +67,7 @@ ANGLE_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FlowerConfig:
+class FlowerConfig(Record):
     """Center radius plus cyclically ordered petal radii, all positive."""
 
     center: Fraction
@@ -88,12 +88,6 @@ class FlowerConfig:
     def scaled(self, factor) -> "FlowerConfig":
         factor = Fraction(factor)
         return FlowerConfig(self.center * factor, tuple(p * factor for p in self.petals))
-
-    def to_obj(self) -> dict:
-        return {
-            "center": format_rational(self.center),
-            "petals": [format_rational(p) for p in self.petals],
-        }
 
 
 def _fraction(x) -> Fraction:
@@ -119,7 +113,7 @@ def center_angle_cosine(r, ri, rj) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     config: FlowerConfig
     cosines: tuple[Fraction, ...]
     variety_residual: Fraction  # exact value of the flower polynomial
@@ -127,17 +121,6 @@ class ValidationReport:
     angle_range_ok: tuple[bool, ...]
     valid: bool
     reasons: tuple[str, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "config": self.config.to_obj(),
-            "cosines": [format_rational(c) for c in self.cosines],
-            "variety_residual": format_rational(self.variety_residual),
-            "angle_sum_residual": self.angle_sum_residual,
-            "angle_range_ok": list(self.angle_range_ok),
-            "valid": self.valid,
-            "reasons": list(self.reasons),
-        }
 
 
 def flower_cosines(config: FlowerConfig) -> tuple[Fraction, ...]:
@@ -210,14 +193,11 @@ def validate_flower(config: FlowerConfig) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class CirclePlacement:
+class CirclePlacement(Record):
     x: float
     y: float
     radius: float
     is_center: bool
-
-    def to_obj(self) -> dict:
-        return {"x": self.x, "y": self.y, "radius": self.radius, "is_center": self.is_center}
 
 
 class InvalidFlowerError(ValueError):

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
 
+from .ratpoly import Record
+
 # Largest accepted beta: trial division up to sqrt(10**12) takes about a
 # tenth of a second, and the cost grows as sqrt(beta).
 MAX_BETA = 10**12
@@ -34,11 +36,11 @@ MAX_BRUTE_FORCE_BOUND = 10**4
 
 
 def _check_args(beta: int, z_bound: int, max_bound: int) -> None:
-    if beta < 1:
+    if type(beta) is not int or beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
     if beta > MAX_BETA:
         raise ValueError(f"beta must be at most {MAX_BETA}, got {beta}")
-    if not 1 <= z_bound <= max_bound:
+    if type(z_bound) is not int or not 1 <= z_bound <= max_bound:
         raise ValueError(f"bound must be in 1..{max_bound}, got {z_bound}")
 
 
@@ -57,19 +59,16 @@ def is_squarefree(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     b: int
     c: int
     m: int
     n: int
     halved: bool
 
-    def to_obj(self) -> dict:
-        return {"b": self.b, "c": self.c, "m": self.m, "n": self.n, "halved": self.halved}
-
 
 @dataclass(frozen=True)
-class PythSolution:
+class PythSolution(Record):
     beta: int
     x: int
     y: int
@@ -86,13 +85,6 @@ class PythSolution:
             and x * x + self.beta * y * y == z * z
             and gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1
         )
-
-    def to_obj(self) -> dict:
-        return {
-            "beta": self.beta,
-            "x": self.x, "y": self.y, "z": self.z,
-            "witnesses": [w.to_obj() for w in self.witnesses],
-        }
 
 
 def _factor_pairs(beta: int) -> Iterator[tuple[int, int]]:

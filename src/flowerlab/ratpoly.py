@@ -25,7 +25,9 @@ degree first, ties broken lexicographically on the exponent tuple with the
 first variable strongest.  Serialization always uses this order, so two
 equal polynomials serialize identically.  ``poly_json_chunks`` writes the
 indented JSON of ``poly_to_obj`` term by term, for polynomials too large to
-build as a dict tree first.
+build as a dict tree first.  ``wire`` is the JSON rule of every result
+record: a ``Fraction`` travels as that canonical string, and a ``Record``
+dataclass as an object of its fields in declaration order.
 
 All values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads or processes.
@@ -36,7 +38,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -83,6 +87,43 @@ def parse_int_list(raw, what: str) -> tuple[int, ...]:
 def format_rational(value: Coeff) -> str:
     """Canonical string for a rational: ``p`` when integral, else ``p/q``."""
     return str(Fraction(value))
+
+
+_WIRE_SCALARS = frozenset({int, float, bool, str, type(None)})
+
+
+def wire(value):
+    """The JSON object of a result value, by its exact type: a ``Fraction``
+    becomes its ``format_rational`` string, an ``int``, ``float``, ``bool``,
+    ``str`` or ``None`` stays itself (a rational field holds a ``Fraction``),
+    a tuple or list becomes a list and a dict a dict, element by element,
+    and anything else gives its own ``to_obj()``."""
+    kind = type(value)
+    if kind in _WIRE_SCALARS:
+        return value
+    if kind is Fraction:
+        return str(value)
+    if kind is tuple or kind is list:
+        return [wire(v) for v in value]
+    if kind is dict:
+        return {k: wire(v) for k, v in value.items()}
+    return value.to_obj()
+
+
+@cache
+def _wire_names(cls) -> tuple[str, ...]:
+    return (*(f.name for f in fields(cls)), *cls.WIRE_EXTRA)
+
+
+class Record:
+    """Base of the frozen result dataclasses whose JSON object is their
+    fields in declaration order, each encoded by ``wire``, followed by the
+    derived properties named in ``WIRE_EXTRA`` (flags such as ``valid``)."""
+
+    WIRE_EXTRA: tuple[str, ...] = ()
+
+    def to_obj(self) -> dict:
+        return {name: wire(getattr(self, name)) for name in _wire_names(type(self))}
 
 
 def format_terms(names: Sequence[str], terms: Iterable[tuple[Exponents, Coeff]]) -> str:

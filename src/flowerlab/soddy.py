@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 from typing import Iterator, Optional, Sequence
 
 from .geometry import ANGLE_SUM_TOL, FlowerConfig, angle_sum_residual
-from .ratpoly import format_rational, nested_json
+from .ratpoly import Record, format_rational, nested_json, wire
 
 
 # -- small exact helpers -------------------------------------------------------
@@ -158,6 +158,7 @@ class CosTriple:
         return (self.x1, self.x2, self.x3)
 
     def to_obj(self) -> list[str]:
+        # format_rational, not wire: a CosTriple built from ints prints strings.
         return [format_rational(x) for x in self.as_tuple()]
 
 
@@ -182,7 +183,7 @@ def cosines_from_params(p: SoddyParams) -> CosTriple:
 
 
 @dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Record):
     """The five inequalities that are supposed to pick out genuine flowers."""
 
     n1_gt_m1: bool
@@ -191,6 +192,8 @@ class ConstraintReport:
     r1_positive: bool  # n1*(m1*n2 + m2*n1) > n2*(m1^2 + n1^2)
     r3_positive: bool  # n1*(m2^2 + n2^2) > n2*(m1*n2 + m2*n1)
 
+    WIRE_EXTRA = ("all_hold",)
+
     @property
     def all_hold(self) -> bool:
         return all(self.as_tuple())
@@ -198,9 +201,6 @@ class ConstraintReport:
     def as_tuple(self) -> tuple[bool, ...]:
         return (self.n1_gt_m1, self.n2_gt_m2, self.cross_gt_product,
                 self.r1_positive, self.r3_positive)
-
-    def to_obj(self) -> dict:
-        return {**asdict(self), "all_hold": self.all_hold}
 
 
 def constraint_report(p: SoddyParams) -> ConstraintReport:
@@ -235,7 +235,7 @@ class CurvatureQuad:
         return (self.b1, self.b2, self.b3, self.b4)
 
     def to_obj(self) -> list[str]:
-        return [format_rational(b) for b in self.as_tuple()]
+        return wire(self.as_tuple())
 
 
 def descartes_check(quad: CurvatureQuad) -> bool:
@@ -264,7 +264,7 @@ def tangent_curvatures(k1, k2, k3) -> tuple[QuadraticValue, QuadraticValue]:
 
 
 @dataclass(frozen=True)
-class RadiiCandidate:
+class RadiiCandidate(Record):
     """One root of the r_1 quadratic with the matching r_2, r_3."""
 
     r1: QuadraticValue
@@ -276,6 +276,8 @@ class RadiiCandidate:
     angle_sum_ok: bool
     degenerate: bool = False
 
+    WIRE_EXTRA = ("valid",)
+
     @property
     def valid(self) -> bool:
         return (
@@ -283,22 +285,9 @@ class RadiiCandidate:
             and not self.degenerate
         )
 
-    def to_obj(self) -> dict:
-        return {
-            "r1": self.r1.to_obj(),
-            "r2": self.r2.to_obj(),
-            "r3": self.r3.to_obj(),
-            "rational": self.rational,
-            "positive": self.positive,
-            "equations_ok": self.equations_ok,
-            "angle_sum_ok": self.angle_sum_ok,
-            "degenerate": self.degenerate,
-            "valid": self.valid,
-        }
-
 
 @dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     cosines: CosTriple
     quadratic: tuple[Fraction, Fraction, Fraction]  # a, b, c in a*r^2 + b*r + c
     discriminant: Optional[Fraction]  # None when the equation degenerates to linear
@@ -307,18 +296,6 @@ class SolveReport:
     angle_sum_ok: bool
     candidates: tuple[RadiiCandidate, ...]
     valid_flowers: tuple[FlowerConfig, ...]  # rational valid solutions, center radius 1
-
-    def to_obj(self) -> dict:
-        return {
-            "cosines": self.cosines.to_obj(),
-            "quadratic": [format_rational(v) for v in self.quadratic],
-            "discriminant": None if self.discriminant is None else format_rational(self.discriminant),
-            "discriminant_square": self.discriminant_square,
-            "angle_sum_residual": self.angle_sum_residual,
-            "angle_sum_ok": self.angle_sum_ok,
-            "candidates": [c.to_obj() for c in self.candidates],
-            "valid_flowers": [f.to_obj() for f in self.valid_flowers],
-        }
 
 
 _ZERO = Fraction(0)
@@ -556,12 +533,9 @@ def sweep_radii(cosines: Sequence) -> list[tuple[float, float, float]]:
 
 
 @dataclass(frozen=True)
-class ScaledFlower:
+class ScaledFlower(Record):
     scale: int
     config: FlowerConfig
-
-    def to_obj(self) -> dict:
-        return {"scale": self.scale, "config": self.config.to_obj()}
 
 
 def integer_scale(center, petals: Sequence) -> ScaledFlower:
@@ -584,7 +558,7 @@ def integer_scale(center, petals: Sequence) -> ScaledFlower:
 
 
 @dataclass(frozen=True)
-class GrahamParams:
+class GrahamParams(Record):
     """Witness (x, m, d1, d2) with x^2 + m^2 = d1*d2."""
 
     x: int
@@ -614,14 +588,8 @@ class GrahamRecord:
     degenerate: bool  # some curvature <= 0 (tangent line or enclosing circle)
 
     def to_obj(self) -> dict:
-        return {
-            "x": self.params.x,
-            "m": self.params.m,
-            "d1": self.params.d1,
-            "d2": self.params.d2,
-            "curvatures": self.quad.to_obj(),
-            "degenerate": self.degenerate,
-        }
+        return {**self.params.to_obj(), "curvatures": self.quad.to_obj(),
+                "degenerate": self.degenerate}
 
 
 # Largest accepted bound of ``graham_quadruples``: the cost grows as the
@@ -634,7 +602,7 @@ def graham_quadruples(d2_bound: int) -> list[GrahamRecord]:
     b = (x, d1-x, d2-x, d1+d2-2m-x) over 0 <= 2m <= d1 <= d2 <= bound with
     x^2 + m^2 = d1*d2 and x >= 0.  Every output satisfies the Descartes
     identity; non-positive curvatures are flagged, not dropped."""
-    if not 1 <= d2_bound <= MAX_GRAHAM_BOUND:
+    if type(d2_bound) is not int or not 1 <= d2_bound <= MAX_GRAHAM_BOUND:
         raise ValueError(f"bound must be in 1..{MAX_GRAHAM_BOUND}, got {d2_bound}")
     out: list[GrahamRecord] = []
     for d2 in range(1, d2_bound + 1):
@@ -653,7 +621,7 @@ def graham_quadruples(d2_bound: int) -> list[GrahamRecord]:
 
 
 @dataclass(frozen=True)
-class GrahamRatios:
+class GrahamRatios(Record):
     """The generator parameters, per unit of x, recovered from a
     four-integer cosine parametrization."""
 
@@ -661,17 +629,11 @@ class GrahamRatios:
     d1_over_x: Fraction
     d2_over_x: Fraction
 
+    WIRE_EXTRA = ("identity_holds",)
+
     @property
     def identity_holds(self) -> bool:
         return 1 + self.m_over_x**2 == self.d1_over_x * self.d2_over_x
-
-    def to_obj(self) -> dict:
-        return {
-            "m_over_x": format_rational(self.m_over_x),
-            "d1_over_x": format_rational(self.d1_over_x),
-            "d2_over_x": format_rational(self.d2_over_x),
-            "identity_holds": self.identity_holds,
-        }
 
 
 def graham_inverse(p: SoddyParams) -> GrahamRatios:
@@ -759,14 +721,10 @@ def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
 
 
 @dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     bound: int
-    records: tuple[ScanRecord, ...]
     summary: dict
-
-    def to_obj(self) -> dict:
-        return {"bound": self.bound, "summary": dict(self.summary),
-                "records": [r.to_obj() for r in self.records]}
+    records: tuple[ScanRecord, ...]
 
     def json_chunks(self) -> Iterator[str]:
         """``json.dumps(self.to_obj(), indent=2)`` in chunks, one per record.
@@ -801,7 +759,7 @@ def scan_lattice(bound: int) -> ScanResult:
     Records are in lexicographic parameter order; the summary tallies how
     the constraint set relates to square discriminants, solvable flowers,
     and the two generator inequalities."""
-    if not 1 <= bound <= MAX_SCAN_BOUND:
+    if type(bound) is not int or not 1 <= bound <= MAX_SCAN_BOUND:
         raise ValueError(f"scan bound must be in 1..{MAX_SCAN_BOUND}, got {bound}")
     records = [_scan_tuple(t) for t in product(range(1, bound + 1), repeat=4)]
     passing = [r for r in records if r.all_pass]
@@ -817,4 +775,4 @@ def scan_lattice(bound: int) -> ScanResult:
             1 for r in passing if r.valid_flower_count
         ),
     }
-    return ScanResult(bound=bound, records=tuple(records), summary=summary)
+    return ScanResult(bound=bound, summary=summary, records=tuple(records))

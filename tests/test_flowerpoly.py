@@ -1,5 +1,6 @@
 """Flower polynomial constructions, structural identities, radius expansion."""
 
+import enum
 import math
 import random
 from importlib import resources
@@ -94,6 +95,28 @@ def test_five_petal_designated_coefficients():
 def test_five_petal_fixture_file_is_canonical():
     text = resources.files("flowerlab").joinpath("data/p5.json").read_text()
     assert text == poly_dumps(flower_poly(5)) + "\n"
+
+
+class Count(enum.IntEnum):
+    FOUR = 4
+
+
+@pytest.mark.parametrize("build", [closure_product_poly, flower_poly_from_product, verify])
+def test_range_checked_constructions_refuse_an_int_subclass(build):
+    with pytest.raises(ValueError, match="supports n in 2..[56], got 4"):
+        build(Count.FOUR)
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_flower_poly_refuses_a_bool_or_float(n):
+    with pytest.raises(ValueError, match=f"petal count must be a positive integer, got {n}"):
+        flower_poly(n)
+
+
+@pytest.mark.parametrize("composition", [(True, 2), (1.0, 2)])
+def test_block_product_refuses_parts_that_are_not_ints(composition):
+    with pytest.raises(ValueError, match="composition must have positive parts"):
+        flowerpoly.block_product(3, composition)
 
 
 def test_closure_small_cases():

@@ -70,6 +70,18 @@ def test_rejects_bad_input():
         brute_force_triples(3, 0)
 
 
+@pytest.mark.parametrize("beta, bound, message", [
+    (True, 10, "beta must be a positive integer, got True"),
+    (2.5, 10, "beta must be a positive integer, got 2.5"),
+    (2, True, "bound must be in 1..[0-9]+, got True"),
+    (2, 10.0, "bound must be in 1..[0-9]+, got 10.0"),
+])
+def test_bool_or_float_arguments_are_rejected(beta, bound, message):
+    for enumerate_triples in (brute_force_triples, generate_triples):
+        with pytest.raises(ValueError, match=message):
+            enumerate_triples(beta, bound)
+
+
 @pytest.mark.parametrize("beta", [1, 2, 3, 5, 6, 7, 10, 11, 13])
 def test_generator_matches_oracle(beta):
     sols = generate_triples(beta, 300)

@@ -304,6 +304,18 @@ def test_scan_lattice_summary_and_determinism():
         scan_lattice(0)
 
 
+@pytest.mark.parametrize("bound", [True, 2.0])
+def test_scan_lattice_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(ValueError, match=rf"scan bound must be in 1\.\.21, got {bound}"):
+        scan_lattice(bound)
+
+
+@pytest.mark.parametrize("bound", [True, 2.0])
+def test_graham_quadruples_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(ValueError, match=rf"bound must be in 1\.\.1000, got {bound}"):
+        graham_quadruples(bound)
+
+
 def test_scan_constraint_findings_small_bound():
     res = scan_lattice(6)
     passing = [r for r in res.records if r.all_pass]

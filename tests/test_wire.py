@@ -1,0 +1,165 @@
+"""The one wire rule behind every result record (``ratpoly.wire`` and
+``ratpoly.Record``), the records' output bytes pinned as sha256 digests,
+and the short list of records that still write their own encoder."""
+
+import hashlib
+import importlib
+import io
+import json
+import pkgutil
+from dataclasses import dataclass
+from fractions import Fraction
+
+import pytest
+
+import flowerlab
+from flowerlab import geometry, pythag, soddy
+from flowerlab.cli import run
+from flowerlab.ratpoly import Record, format_rational, wire
+
+F = Fraction
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a_fraction_becomes_the_format_rational_string():
+    for value in (F(0), F(7), F(-3, 5), F(10**40 + 1, 3)):
+        assert wire(value) == format_rational(value)
+    assert json.dumps(wire(F(6, 4))) == '"3/2"'
+
+
+def test_ints_stay_numbers_and_bools_stay_bools():
+    assert json.dumps(wire([3, -1, True, False, 0])) == "[3, -1, true, false, 0]"
+    assert type(wire(True)) is bool and type(wire(1)) is int
+
+
+def test_none_nested_tuples_and_dicts_pass_through():
+    value = {"a": (F(1, 2), (None, "s", 1.5)), "b": [], "c": {"d": (F(4),)}}
+    assert wire(value) == {"a": ["1/2", [None, "s", 1.5]], "b": [], "c": {"d": ["4"]}}
+
+
+def test_any_other_value_is_encoded_by_its_own_to_obj():
+    class Own:
+        def to_obj(self):
+            return "own"
+
+    assert wire((Own(), F(1))) == ["own", "1"]
+    with pytest.raises(AttributeError):
+        wire(object())
+
+
+@dataclass(frozen=True)
+class Sample(Record):
+    first: Fraction
+    inner: tuple
+    flag: bool
+
+    WIRE_EXTRA = ("twice",)
+
+    @property
+    def twice(self) -> Fraction:
+        return 2 * self.first
+
+
+def test_a_record_writes_its_fields_in_order_then_its_extras():
+    obj = Sample(F(1, 3), (Sample(F(1), (), False),), True).to_obj()
+    assert list(obj) == ["first", "inner", "flag", "twice"]
+    assert obj == {
+        "first": "1/3",
+        "inner": [{"first": "1", "inner": [], "flag": False, "twice": "2"}],
+        "flag": True,
+        "twice": "2/3",
+    }
+
+
+def test_a_cosine_triple_prints_int_cosines_as_strings():
+    # CosTriple does not coerce its fields, so its encoder formats them.
+    assert soddy.CosTriple(0, F(-1, 2), 1).to_obj() == ["0", "-1/2", "1"]
+    report = soddy.solve_radii(soddy.CosTriple(0, F(-1, 2), F(-1, 2)))
+    assert report.to_obj()["cosines"] == ["0", "-1/2", "-1/2"]
+
+
+# sha256 of stdout and the exit code, as the hand-written encoders that
+# ``Record`` replaced printed them.
+CLI_GOLDEN = [
+    (["soddy-gen", "--params", "2", "3", "2", "3"], 0,
+     "e1c1d372325e576cf3a01e801c7e7d7af004ce1525dba66affafe6c50e43150c"),
+    (["soddy-gen", "--params", "1", "2", "4", "5"], 0,
+     "f353069995d2185ea040160b0c518b1a6bc782fb2162050dbb59148077f4b6a3"),
+    (["soddy-gen", "--params", "2", "3", "2", "3", "--format", "text"], 0,
+     "7c485304bad686d0414274a0c2c4e83014df72b9c30f8400abdbf6f8964a9200"),
+    (["discrepancy"], 0,
+     "073b7caec12e6efa5c4d290b9de7dc626fb64d7525f4d43e529b4eca5b99b2f9"),
+    (["flower", "check", "6", "69", "46", "23"], 0,
+     "f6fdf2472467c53a785e4c0b9250083a0d57c3fa3b3d979d76a31f74ffebea67"),
+    (["flower", "check", "1", "1", "1", "1"], 1,
+     "9beb5b0b9fe966b09bb9e3b5daf7e9edd1257281fba58418949b8b8f5562d708"),
+    (["flower", "check", "1", "23/2", "23/3", "23/6"], 0,
+     "004308236c3a1b65a20a6326306a5a5b242211b203acde20e40bd4711d4dfe4d"),
+    (["flower", "check", "1", "1", "1", "1", "1", "1", "1"], 0,
+     "d7c2faa30e5c9d3064ebfb75e45a06594c2ba6cb8346177dae91043ae65dda9b"),
+    (["flower", "check", "3", "5", "8", "9", "8"], 0,
+     "264d2cd53c72ebc2f4761cb23a3b1442eb4023857d2088766d450c34a444c9c2"),
+    (["pyth", "--beta", "2", "--bound", "200"], 0,
+     "a4166bfb8b24e0c8c019551fda6cf14917b89d0711507ddfeb4ec8cd0f3067c2"),
+    (["pyth", "--beta", "2", "--bound", "200", "--brute-force"], 0,
+     "05074a2f197bf9910d2b1bfef19bbfede74999eb6fc99f1f1699be3273d63144"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CLI_GOLDEN,
+                         ids=["_".join(argv) for argv, _, _ in CLI_GOLDEN])
+def test_cli_output_bytes_are_pinned(argv, code, digest):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == code
+    assert sha256(out.getvalue()) == digest
+    assert err.getvalue() == ""
+
+
+LIBRARY_GOLDEN = [
+    # Irrational candidates: soddy-gen never prints them, because
+    # parametrized triples always have square discriminants.
+    (lambda: soddy.solve_radii((F(-1, 3), F(-2, 5), F(-1, 4))).to_obj(),
+     "1af2b37fe35ced69bf892571a3ef49612756952af8bf115300d15859642ce262"),
+    (lambda: [p.to_obj() for p in geometry.layout(geometry.FlowerConfig(6, (69, 46, 23)))],
+     "40bac6b2ed0e8864d2e803876bc34b593984adc3a031732e8dedae30c58eff50"),
+    (lambda: soddy.integer_scale(1, (F(54, 11), 26, F(351, 59))).to_obj(),
+     "37ead3777aa290819b3f3ef009ce1d1a91a5abeff7480730fcdcaa5c5e5dc73b"),
+    (lambda: soddy.scan_lattice(3).to_obj(),
+     "f1414fe4b5bb3eb34f3dc2a4a9ab1709cb853fc537226e1d875a0c83709158c1"),
+]
+
+
+@pytest.mark.parametrize("build, digest", LIBRARY_GOLDEN, ids=["solve", "layout", "scale", "scan"])
+def test_library_output_bytes_are_pinned(build, digest):
+    assert sha256(json.dumps(build())) == digest
+
+
+# Records whose JSON object is not their fields in order: a rational or a
+# surd (QuadraticValue), a bare list (CosTriple, CurvatureQuad), flattened
+# params (GrahamRecord, ScanRecord), or keys in another order than the
+# constructor's (FlowerPolySet).
+HAND_WRITTEN_ENCODERS = {
+    "QuadraticValue", "CosTriple", "CurvatureQuad", "GrahamRecord", "ScanRecord", "FlowerPolySet",
+}
+CONVERTED_RECORDS = [
+    geometry.FlowerConfig, geometry.ValidationReport, geometry.CirclePlacement,
+    soddy.SolveReport, soddy.RadiiCandidate, soddy.ConstraintReport, soddy.ScaledFlower,
+    soddy.GrahamParams, soddy.GrahamRatios, soddy.ScanResult, pythag.Witness, pythag.PythSolution,
+]
+
+
+def test_only_the_listed_records_write_their_own_encoder():
+    own = set()
+    for info in pkgutil.iter_modules(flowerlab.__path__):
+        module = importlib.import_module(f"flowerlab.{info.name}")
+        own |= {
+            value.__name__ for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and value is not Record and "to_obj" in value.__dict__
+        }
+    assert own == HAND_WRITTEN_ENCODERS
+    for record in CONVERTED_RECORDS:
+        assert issubclass(record, Record) and "to_obj" not in record.__dict__
