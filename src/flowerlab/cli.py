@@ -84,7 +84,7 @@ def _cmd_pn(args, stdout, stderr) -> int:
     if args.format == "text":
         _emit((pn.pretty(), "\n"), args.out, stdout)
     else:
-        bundle = FlowerPolySet(args.n, pn, provenance={"pn": args.route})
+        bundle = FlowerPolySet(args.n, {"pn": args.route}, pn)
         _emit(chain(bundle.json_chunks(), ("\n",)), args.out, stdout)
     return 0
 
@@ -98,9 +98,7 @@ def _cmd_cn(args, stdout, stderr) -> int:
     if args.format == "text":
         _emit((cn.pretty(), "\n"), args.out, stdout)
     else:
-        bundle = FlowerPolySet(
-            args.n, pn, cn, provenance={"pn": "recursive", "cn": "definitional"}
-        )
+        bundle = FlowerPolySet(args.n, {"pn": "recursive", "cn": "definitional"}, pn, cn)
         _emit(chain(bundle.json_chunks(), ("\n",)), args.out, stdout)
     return 0
 
@@ -114,16 +112,13 @@ def _cmd_verify(args, stdout, stderr) -> int:
     stderr.writelines(f"skipped: {line}\n" for line in skipped)
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        payload = [
-            {"check": r.name, "n": r.n, "ok": r.ok, "detail": r.detail} for r in reports
-        ]
-        _emit(_json_chunks(payload), args.out, stdout)
+        _emit(_json_chunks(wire(reports)), args.out, stdout)
     else:
         lines = []
         for r in reports:
             status = "ok" if r.ok else "FAIL"
             detail = f" ({r.detail})" if r.detail else ""
-            lines.append(f"{status} {r.name} n={r.n}{detail}\n")
+            lines.append(f"{status} {r.check} n={r.n}{detail}\n")
         _emit(lines, args.out, stdout)
     return 0 if ok else 1
 
@@ -186,10 +181,8 @@ def _cmd_graham(args, stdout, stderr) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "csv":
-        header = ["x", "m", "d1", "d2", "b1", "b2", "b3", "b4", "degenerate"]
-        rows = ([rec.params.x, rec.params.m, rec.params.d1, rec.params.d2,
-                 *rec.quad.to_obj(), int(rec.degenerate)] for rec in records)
-        _emit(_csv_chunks(header, rows), args.out, stdout)
+        rows = (rec.csv_row() for rec in records)
+        _emit(_csv_chunks(soddy.GrahamRecord.CSV_FIELDS, rows), args.out, stdout)
     else:
         _emit((json.dumps(rec.to_obj()) + "\n" for rec in records), args.out, stdout)
     return 0

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -59,7 +59,7 @@ from .mixedring import (
     point_squares,
     poly_at_mixed,
 )
-from .ratpoly import Coeff, Exponents, SparsePoly, norm_form, poly_json_chunks
+from .ratpoly import Coeff, Exponents, Record, SparsePoly, norm_form, poly_json_chunks
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
 MAX_N = 6
@@ -203,6 +203,8 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
     f <- f * g(f) once for each generator g inside the blocks multiplies
     sigma(f) over the whole group.
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     composition = tuple(composition)
     if not composition or any(type(s) is not int or s < 1 for s in composition):
         raise ValueError(f"composition must have positive parts: {composition}")
@@ -224,8 +226,8 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
 
 
 @dataclass(frozen=True)
-class CheckReport:
-    name: str
+class CheckReport(Record):
+    check: str
     n: int
     ok: bool
     detail: str = ""
@@ -443,30 +445,19 @@ def radius_coefficients_symmetric(expansion: RadiusExpansion) -> bool:
 
 
 @dataclass(frozen=True)
-class FlowerPolySet:
-    """A flower polynomial with optional closure square and provenance tags."""
+class FlowerPolySet(Record):
+    """A flower polynomial with provenance tags and an optional closure square."""
 
     n: int
+    provenance: dict
     pn: SparsePoly
     cn: Optional[SparsePoly] = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pn.nvars != self.n:
             raise ValueError("polynomial arity does not match petal count")
         if self.cn is not None and self.cn != self.pn * self.pn:
             raise ValueError("closure polynomial is not the square of the flower polynomial")
-
-    def to_obj(self) -> dict:
-        from .ratpoly import poly_to_obj
-
-        out = {
-            "n": self.n,
-            "provenance": dict(self.provenance),
-            "pn": poly_to_obj(self.pn),
-        }
-        out["cn"] = poly_to_obj(self.cn) if self.cn is not None else None
-        return out
 
     def json_chunks(self) -> Iterator[str]:
         """``json.dumps(self.to_obj(), indent=2)`` in chunks, the

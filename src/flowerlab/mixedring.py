@@ -184,7 +184,7 @@ def _sign_flips(gens: int, nvars: int) -> int:
     meets the returned mask in an odd number of slots: bit j is the parity
     of the generators i >= j.  Zero exactly when ``gens`` is.
     """
-    if not isinstance(gens, int) or gens < 0 or gens >> (nvars - 1):
+    if type(gens) is not int or gens < 0 or gens >> (nvars - 1):
         raise ValueError(f"sign mask {gens!r} out of range for {nvars} variables")
     flips = 0
     for j in range(nvars - 1):

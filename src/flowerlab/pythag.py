@@ -46,7 +46,7 @@ def _check_args(beta: int, z_bound: int, max_bound: int) -> None:
 
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n >= 1)."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("expected a positive integer")
     if n % 4 == 0:
         return False

@@ -482,6 +482,10 @@ class SparsePoly(TermMap):
         """Plain-text form, e.g. ``x1^2+x2^2+x3^2-2*x1*x2*x3-1``."""
         return format_terms(resolve_var_names(self.nvars, var_names), self.sorted_terms())
 
+    def to_obj(self) -> dict:
+        """The canonical JSON object, ``poly_to_obj`` with the default names."""
+        return poly_to_obj(self)
+
 
 # -- packed monomials -----------------------------------------------------------
 #

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from .geometry import ANGLE_SUM_TOL, FlowerConfig, angle_sum_residual
@@ -416,6 +417,8 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
             roots = [(s - qc_num, 0, qa_num), (-s - qc_num, 0, qa_num)]
         else:
             roots = [(-qc_num, 1, qa_num), (-qc_num, -1, qa_num)]
+            disc_q = disc.denominator  # sqrt(p/q) = sqrt(p*q)/q, as QuadraticValue.make has it
+            radicand = Fraction(disc.numerator * disc_q)
     rational = disc_square is not False
 
     candidates: list[RadiiCandidate] = []
@@ -437,8 +440,8 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
         if rational:
             values = [QuadraticValue(Fraction(x, m), _ZERO, _ZERO) for x, _, m in (r1, r2, r3)]
         else:
-            # sqrt(R) = (D/2)*sqrt(disc), so every radius keeps disc's radicand.
-            values = [QuadraticValue.make(Fraction(x, m), Fraction(y * den, 2 * m), disc)
+            # sqrt(R) = (D/(2q))*sqrt(radicand); y != 0, since QA, a_i and c_i are nonzero.
+            values = [QuadraticValue(Fraction(x, m), Fraction(y * den, 2 * m * disc_q), radicand)
                       for x, y, m in (r1, r2, r3)]
         cand = RadiiCandidate(*values, rational, positive, eq_ok, angle_ok, degenerate)
         candidates.append(cand)
@@ -558,38 +561,30 @@ def integer_scale(center, petals: Sequence) -> ScaledFlower:
 
 
 @dataclass(frozen=True)
-class GrahamParams(Record):
-    """Witness (x, m, d1, d2) with x^2 + m^2 = d1*d2."""
+class GrahamRecord(Record):
+    """Witness (x, m, d1, d2) with x^2 + m^2 = d1*d2, its curvature quadruple,
+    and whether a curvature is <= 0 (a tangent line or an enclosing circle)."""
 
     x: int
     m: int
     d1: int
     d2: int
+    # Set once by __post_init__, after the side-condition check.
+    curvatures: CurvatureQuad = field(init=False)
+    degenerate: bool = field(init=False)
+
+    CSV_FIELDS = ("x", "m", "d1", "d2", "b1", "b2", "b3", "b4", "degenerate")
 
     def __post_init__(self):
-        if self.x * self.x + self.m * self.m != self.d1 * self.d2:
-            raise ValueError(
-                f"side condition x^2 + m^2 = d1*d2 fails for {self}"
-            )
+        x, m, d1, d2 = self.x, self.m, self.d1, self.d2
+        if x * x + m * m != d1 * d2:
+            raise ValueError(f"side condition x^2 + m^2 = d1*d2 fails for {(x, m, d1, d2)}")
+        quad = CurvatureQuad(x, d1 - x, d2 - x, d1 + d2 - 2 * m - x)
+        object.__setattr__(self, "curvatures", quad)
+        object.__setattr__(self, "degenerate", any(b <= 0 for b in quad.as_tuple()))
 
-    def quadruple(self) -> CurvatureQuad:
-        return CurvatureQuad(
-            Fraction(self.x),
-            Fraction(self.d1 - self.x),
-            Fraction(self.d2 - self.x),
-            Fraction(-2 * self.m + self.d1 + self.d2 - self.x),
-        )
-
-
-@dataclass(frozen=True)
-class GrahamRecord:
-    params: GrahamParams
-    quad: CurvatureQuad
-    degenerate: bool  # some curvature <= 0 (tangent line or enclosing circle)
-
-    def to_obj(self) -> dict:
-        return {**self.params.to_obj(), "curvatures": self.quad.to_obj(),
-                "degenerate": self.degenerate}
+    def csv_row(self) -> list:
+        return [self.x, self.m, self.d1, self.d2, *self.curvatures.to_obj(), int(self.degenerate)]
 
 
 # Largest accepted bound of ``graham_quadruples``: the cost grows as the
@@ -613,10 +608,7 @@ def graham_quadruples(d2_bound: int) -> list[GrahamRecord]:
                 x = isqrt(t)
                 if x * x != t:
                     continue
-                params = GrahamParams(x, m, d1, d2)
-                quad = params.quadruple()
-                degenerate = any(b <= 0 for b in quad.as_tuple())
-                out.append(GrahamRecord(params, quad, degenerate))
+                out.append(GrahamRecord(x, m, d1, d2))
     return out
 
 
@@ -655,8 +647,11 @@ def graham_inverse(p: SoddyParams) -> GrahamRatios:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    params: tuple[int, int, int, int]
+class ScanRecord(Record):
+    m1: int
+    n1: int
+    m2: int
+    n2: int
     constraints: tuple[bool, bool, bool, bool, bool]
     all_pass: bool
     degenerate: bool  # a cosine hit -1; the radii system has no meaning there
@@ -664,19 +659,6 @@ class ScanRecord:
     valid_flower_count: int
     d1_le_d2: bool
     two_m_gt_d1: bool
-
-    def to_obj(self) -> dict:
-        m1, n1, m2, n2 = self.params
-        return {
-            "m1": m1, "n1": n1, "m2": m2, "n2": n2,
-            "constraints": list(self.constraints),
-            "all_pass": self.all_pass,
-            "degenerate": self.degenerate,
-            "discriminant_square": self.discriminant_square,
-            "valid_flower_count": self.valid_flower_count,
-            "d1_le_d2": self.d1_le_d2,
-            "two_m_gt_d1": self.two_m_gt_d1,
-        }
 
     CSV_FIELDS = (
         "m1", "n1", "m2", "n2",
@@ -686,9 +668,9 @@ class ScanRecord:
     )
 
     def csv_row(self) -> list:
-        return [*self.params, *(int(c) for c in self.constraints), int(self.all_pass),
-                int(self.degenerate), self.discriminant_square, self.valid_flower_count,
-                int(self.d1_le_d2), int(self.two_m_gt_d1)]
+        return [self.m1, self.n1, self.m2, self.n2, *(int(c) for c in self.constraints),
+                int(self.all_pass), int(self.degenerate), self.discriminant_square,
+                self.valid_flower_count, int(self.d1_le_d2), int(self.two_m_gt_d1)]
 
 
 def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
@@ -706,18 +688,10 @@ def _scan_tuple(params: tuple[int, int, int, int]) -> ScanRecord:
         flowers = len(solved.valid_flowers)
     except ValueError:
         degenerate = True
-    return ScanRecord(
-        params,
-        rep.as_tuple(),
-        rep.all_hold,
-        degenerate,
-        disc_square,
-        flowers,
-        # graham_inverse's d1/x <= d2/x and 2*m/x > d1/x, times the positive
-        # n1*n2*cross and n1*cross.
-        n2 * n2 * q1 <= n1 * n1 * q2,
-        2 * n1 * (n1 * n2 - m1 * m2) > n2 * q1,
-    )
+    # The last two flags: graham_inverse's d1/x <= d2/x and 2*m/x > d1/x, times
+    # the positive n1*n2*cross and n1*cross.
+    return ScanRecord(*params, rep.as_tuple(), rep.all_hold, degenerate, disc_square, flowers,
+                      n2 * n2 * q1 <= n1 * n1 * q2, 2 * n1 * (n1 * n2 - m1 * m2) > n2 * q1)
 
 
 @dataclass(frozen=True)
@@ -734,14 +708,16 @@ class ScanResult(Record):
         head = json.dumps({"bound": self.bound, "summary": dict(self.summary)}, indent=2)
         # head[:-2] drops the closing "\n}", so more keys can follow.
         yield head[:-2] + ',\n  "records": ['
+        names = [f.name for f in fields(ScanRecord)]
+        values_of = attrgetter(*names)
         template = None
         for i, rec in enumerate(self.records):
-            obj = rec.to_obj()
+            values = values_of(rec)
             if template is None:
-                slots = {k: ["%s"] * len(v) if isinstance(v, list) else "%s"
-                         for k, v in obj.items()}
+                slots = {k: ["%s"] * len(v) if type(v) is tuple else "%s"
+                         for k, v in zip(names, values)}
                 template = "\n    " + nested_json(slots, 2).replace('"%s"', "%s")
-            leaves = [x for v in obj.values() for x in (v if isinstance(v, list) else (v,))]
+            leaves = [x for v in values for x in (v if type(v) is tuple else (v,))]
             yield ("," if i else "") + template % tuple(json.dumps(leaves)[1:-1].split(", "))
         yield ("\n  ]" if self.records else "]") + "\n}"
 

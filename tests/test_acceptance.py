@@ -220,7 +220,7 @@ def test_criterion_09_parametrized_cosine_lattice():
 
 def test_criterion_10_descartes_suite():
     records = soddy.graham_quadruples(50)
-    ok = all(soddy.descartes_check(r.quad) for r in records) and bool(records)
+    ok = all(soddy.descartes_check(r.curvatures) for r in records) and bool(records)
     for t in product(range(1, 13), repeat=4):
         if not soddy.graham_inverse(soddy.SoddyParams(*t)).identity_holds:
             ok = False

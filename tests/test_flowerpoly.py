@@ -119,6 +119,12 @@ def test_block_product_refuses_parts_that_are_not_ints(composition):
         flowerpoly.block_product(3, composition)
 
 
+@pytest.mark.parametrize("n", [3.0, True])
+def test_block_product_refuses_a_size_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+        flowerpoly.block_product(n, (1, 2) if n == 3 else (1,))
+
+
 def test_closure_small_cases():
     # For n = 1 the closure product is P_1, not its square, so it is refused.
     with pytest.raises(ValueError, match="supports n in 2..5, got 1"):
@@ -190,11 +196,11 @@ def test_every_check_reports_a_corrupted_polynomial(monkeypatch):
     monkeypatch.setitem(flowerpoly._RECURSION_CACHE, 4, flower_poly(4) + x1 ** 4)
     reports, skipped = verify(4)
     assert skipped == []
-    assert [r.name for r in reports] == [
+    assert [r.check for r in reports] == [
         "square", "symmetry", *["specialization"] * 4, "general-recursion", "monic"]
     assert not any(r.ok for r in reports)
     for r in reports:
-        if r.name in ("square", "specialization", "general-recursion"):
+        if r.check in ("square", "specialization", "general-recursion"):
             assert "first differing term (" in r.detail, r
     assert reports[0].detail == "first differing term (7, 1, 1, 1): closure=-8, square=-16"
     assert reports[2].detail.startswith("x_1:=1, first differing term ")
@@ -204,12 +210,12 @@ def test_every_check_reports_a_corrupted_polynomial(monkeypatch):
 
 def test_verify_plan():
     reports, skipped = verify(2)
-    assert [(r.name, r.ok) for r in reports] == [("square", True), ("monic", True)]
+    assert [(r.check, r.ok) for r in reports] == [("square", True), ("monic", True)]
     assert skipped == ["symmetry (supports n in 3..6, got 2)",
                        "specialization (supports n in 3..6, got 2)",
                        "recursion (supports n in 3..6, got 2)"]
     reports, skipped = verify(6, ["monic", "square"])  # run in table order
-    assert [r.name for r in reports] == ["monic"]
+    assert [r.check for r in reports] == ["monic"]
     assert skipped == ["square (supports n in 2..5, got 6)"]
     reports, _ = verify(5, ["recursion"])
     assert reports == [CheckReport("general-recursion", 5, True, "composition (2, 1, 2)")]
@@ -320,8 +326,8 @@ def test_radius_expansion_structure():
 
 def test_flower_poly_set_consistency():
     pn = flower_poly(3)
-    bundle = FlowerPolySet(3, pn, pn * pn, provenance={"pn": "recursive"})
+    bundle = FlowerPolySet(3, {"pn": "recursive"}, pn, pn * pn)
     obj = bundle.to_obj()
     assert obj["n"] == 3 and obj["cn"] is not None
     with pytest.raises(ValueError):
-        FlowerPolySet(3, pn, pn)  # not the square
+        FlowerPolySet(3, {}, pn, pn)  # not the square

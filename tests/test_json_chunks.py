@@ -59,14 +59,14 @@ def test_poly_chunks_empty_lists(poly, depth):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("provenance", [{}, {"pn": "recursive"}])
 def test_flower_poly_set_chunks_without_cn(n, provenance):
-    bundle = FlowerPolySet(n, flower_poly(n), provenance=provenance)
+    bundle = FlowerPolySet(n, provenance, flower_poly(n))
     assert "".join(bundle.json_chunks()) == json.dumps(bundle.to_obj(), indent=2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("provenance", [{}, {"pn": "recursive", "cn": "definitional"}])
 def test_flower_poly_set_chunks_with_cn(n, provenance):
-    bundle = FlowerPolySet(n, flower_poly(n), closure_product_poly(n), provenance)
+    bundle = FlowerPolySet(n, provenance, flower_poly(n), closure_product_poly(n))
     assert "".join(bundle.json_chunks()) == json.dumps(bundle.to_obj(), indent=2)
 
 

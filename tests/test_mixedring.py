@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from flowerlab.mixedring import MixedElement, apply_sign, cos_sin_over_slots, poly_at_mixed
+from flowerlab.mixedring import (
+    MixedElement,
+    apply_sign,
+    cos_sin_over_slots,
+    point_sign,
+    poly_at_mixed,
+)
 from flowerlab.ratpoly import SparsePoly
 from oracles import angle_sum_cos_sin_direct
 
@@ -104,6 +110,14 @@ def test_sign_mask_validation():
     with pytest.raises(ValueError):
         apply_sign(1, MixedElement.one(1))
     assert apply_sign(0, MixedElement.one(1)) == MixedElement.one(1)
+
+
+@pytest.mark.parametrize("gens", [True, 1.0])
+def test_sign_maps_refuse_a_mask_that_is_not_an_int(gens):
+    with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
+        apply_sign(gens, MixedElement.one(3))
+    with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
+        point_sign(gens, 3, {0: 1})
 
 
 def test_to_poly_extraction_and_error():

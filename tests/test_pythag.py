@@ -20,6 +20,12 @@ def test_is_squarefree():
         is_squarefree(0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 6.0])
+def test_is_squarefree_refuses_a_value_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="expected a positive integer"):
+        is_squarefree(n)
+
+
 def test_classic_triples():
     sols = generate_triples(1, 5)
     assert {s.triple() for s in sols} == {(3, 4, 5), (4, 3, 5)}

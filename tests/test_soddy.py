@@ -1,7 +1,7 @@
 """Rational cosine parametrization, radii solving, and curvature machinery."""
 
 import random
-from dataclasses import make_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -15,7 +15,7 @@ from flowerlab.geometry import FlowerConfig, validate_flower
 from flowerlab.soddy import (
     CosTriple,
     CurvatureQuad,
-    GrahamParams,
+    GrahamRecord,
     QuadraticValue,
     SoddyParams,
     constraint_report,
@@ -137,8 +137,15 @@ def test_quadratic_value_algebra():
 def test_quadratic_value_is_an_output_record():
     # The library does no arithmetic on these values and compares them field
     # by field; the tests' Surd does the arithmetic.
-    record = make_dataclass("Record", ["base", "coef", "radicand"], frozen=True)
-    own = set(vars(QuadraticValue)) - set(vars(record))
+    # A class statement, not make_dataclass: from Python 3.13 on, a class
+    # statement also sets __static_attributes__ and __firstlineno__.
+    @dataclass(frozen=True)
+    class Fields:
+        base: Fraction
+        coef: Fraction
+        radicand: Fraction
+
+    own = set(vars(QuadraticValue)) - set(vars(Fields))
     assert own == {"make", "is_rational", "approx", "to_obj", "__add__"}
     v = QuadraticValue.make(3, 2, 3)
     assert v == QuadraticValue.make(3, 2, 3) != QuadraticValue.make(3, F(1, 24), 6912)
@@ -228,23 +235,23 @@ def test_integer_scale():
 
 
 def test_graham_parameter_examples():
-    assert GrahamParams(3, 1, 2, 5).quadruple().as_tuple() == (3, -1, 2, 2)
-    assert GrahamParams(1, 0, 1, 1).quadruple().as_tuple() == (1, 0, 0, 1)
+    assert GrahamRecord(3, 1, 2, 5).curvatures.as_tuple() == (3, -1, 2, 2)
+    assert GrahamRecord(1, 0, 1, 1).curvatures.as_tuple() == (1, 0, 0, 1)
     with pytest.raises(ValueError):
-        GrahamParams(2, 1, 2, 5)  # 4 + 1 != 10
+        GrahamRecord(2, 1, 2, 5)  # 4 + 1 != 10
 
 
 def test_graham_quadruples_satisfy_descartes():
     records = graham_quadruples(20)
     assert records, "generator found nothing"
     for rec in records:
-        assert descartes_check(rec.quad)
-        x, m, d1, d2 = rec.params.x, rec.params.m, rec.params.d1, rec.params.d2
+        assert descartes_check(rec.curvatures)
+        x, m, d1, d2 = rec.x, rec.m, rec.d1, rec.d2
         assert 0 <= 2 * m <= d1 <= d2 <= 20
     assert any(not r.degenerate for r in records)
     assert any(r.degenerate for r in records)
     # the smallest gasket quadruple appears
-    assert any(set(map(int, r.quad.as_tuple())) == {-1, 2, 2, 3} for r in records)
+    assert any(set(map(int, r.curvatures.as_tuple())) == {-1, 2, 2, 3} for r in records)
 
 
 def test_graham_inverse_examples():
@@ -299,7 +306,8 @@ def test_scan_lattice_summary_and_determinism():
     res = scan_lattice(5)
     assert res.summary["total"] == 625
     assert len(res.records) == 625
-    assert [r.params for r in res.records] == sorted(r.params for r in res.records)
+    params = [(r.m1, r.n1, r.m2, r.n2) for r in res.records]
+    assert params == sorted(params)
     with pytest.raises(ValueError):
         scan_lattice(0)
 

@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowerlab.discrepancy import solver_sweep_agree
@@ -336,6 +336,21 @@ def test_integer_pair_check_rejects_a_radius_moved_by_one():
                     assert not _pair_equation_ok(*abc[i], ra, moved_b, rad), (cosines, part)
 
 
+@settings(max_examples=60, deadline=None)
+@given(EDGE_COSINE, EDGE_COSINE, EDGE_COSINE)
+def test_irrational_radii_are_the_records_make_builds(x1, x2, x3):
+    # solve_radii writes (x + y*sqrt(R))/m = x/m + y*D/(2*m)*sqrt(disc) as a
+    # record itself; QuadraticValue.make of those three parts is the oracle.
+    report = solve_radii((x1, x2, x3))
+    assume(report.discriminant_square is False)
+    abc, _, candidates = integer_candidates((x1, x2, x3))
+    den = abc[0][1] * abc[1][1] ** 2 * abc[2][1]
+    for cand, radii in zip(report.candidates, candidates, strict=True):
+        for got, (x, y, m) in zip((cand.r1, cand.r2, cand.r3), radii, strict=True):
+            want = QuadraticValue.make(F(x, m), F(y * den, 2 * m), report.discriminant)
+            assert representation(got) == representation(want) and not got.is_rational
+
+
 def bracket_sign(x: int, y: int, rad: int) -> int:
     """Sign of x + y*sqrt(rad) from ever finer ``isqrt`` brackets of
     |y|*sqrt(rad) in Fractions."""
@@ -391,7 +406,7 @@ def test_every_root_takes_the_integer_path(monkeypatch):
         for c, d in zip(got.candidates, report.candidates, strict=True):
             for q, r in ((c.r1, d.r1), (c.r2, d.r2), (c.r3, d.r3)):
                 assert representation(q) == representation(r)
-        assert len(made) == 3 * len(got.candidates) == 6  # one per irrational radius
+        assert len(got.candidates) == 2 and made == []  # radii built without make
     made.clear()
     solve_radii(RATIONAL_COSINES)
     assert made == []
@@ -419,4 +434,4 @@ def test_scan_record_is_invariant_under_pair_scaling(params, k, j):
     m1, n1, m2, n2 = params
     record = _scan_tuple(params)
     scaled = _scan_tuple((k * m1, k * n1, j * m2, j * n2))
-    assert dataclasses.replace(scaled, params=params) == record
+    assert dataclasses.replace(scaled, m1=m1, n1=n1, m2=m2, n2=n2) == record

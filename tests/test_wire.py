@@ -1,6 +1,6 @@
 """The one wire rule behind every result record (``ratpoly.wire`` and
 ``ratpoly.Record``), the records' output bytes pinned as sha256 digests,
-and the short list of records that still write their own encoder."""
+and the short list of values that write their own encoder."""
 
 import hashlib
 import importlib
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import flowerlab
-from flowerlab import geometry, pythag, soddy
+from flowerlab import flowerpoly, geometry, pythag, soddy
 from flowerlab.cli import run
 from flowerlab.ratpoly import Record, format_rational, wire
 
@@ -118,6 +118,47 @@ def test_cli_output_bytes_are_pinned(argv, code, digest):
     assert err.getvalue() == ""
 
 
+# sha256 of stdout and the exit code of the commands whose records wrote
+# their own JSON or CSV before they followed ``Record`` (``verify`` and
+# ``soddy-scan`` also write skipped checks or a summary to stderr).
+RECORD_CLI_GOLDEN = [
+    (["verify", "--n", "2", "--all", "--format", "json"], 0,
+     "8b4de45a1f62bc339fc1f3d1d308a28b343b2ca6aa67bf2dc1dc59975ec14ca6"),
+    (["verify", "--n", "3", "--all", "--format", "json"], 0,
+     "ac78db646e0966467d8b8a910a49ef3a2d4cdd2a2b5f6937241b44b0874a06fe"),
+    (["verify", "--n", "4", "--all", "--format", "json"], 0,
+     "4a447f647ddc1281c56c95a8f39a53daae62741f4cf7e3a25d0c7caea96a0efe"),
+    (["verify", "--n", "5", "--all", "--format", "json"], 0,
+     "a760bc47bf88a0aef4d6c98170c91c00a8269c8e6dfe1a34ce483d3a7d566bee"),
+    (["verify", "--n", "6", "--symmetry", "--monic", "--format", "json"], 0,
+     "11137bdb8c63588e3bfcf2d5ec18cddeca50fa8f0f2be55f5752aa4fce148fa5"),
+    (["verify", "--n", "5", "--all"], 0,
+     "51f82e35d84b2dcf08ea98dc9ede407b115e50d55bd0762a46a9f0014953fabf"),
+    (["graham", "--bound", "60"], 0,
+     "25a3a1951b5ab5db37b87227d948b23d9f808ed84e3e8c7196c06bb62759c719"),
+    (["graham", "--bound", "60", "--format", "csv"], 0,
+     "9d96cf356a9066321b99684ad3035228ccc935eb7b97e56e1c831df10ad853f0"),
+    (["soddy-scan", "--bound", "6"], 0,
+     "6cdced8e35fa705c726c9b3f2fdaa1c6b76f8f38dc3c05eb3c0af26da6cd16cc"),
+    (["soddy-scan", "--bound", "6", "--format", "csv"], 0,
+     "b1ee2e5fcfd65afb39733878bdf3f06d3fa8ffadaf7a16d4c75bd502b019f378"),
+    (["pn", "--n", "4"], 0,
+     "83ee22e968c3f7011c4246dbe14e34bfa789784286406e8cddec4f16fb21cdc6"),
+    (["pn", "--n", "4", "--route", "product"], 0,
+     "2ee768383db9925a8283a1e25c7aa017f25eb85ddffda27321e4f45f5f005457"),
+    (["cn", "--n", "3"], 0,
+     "3ac9b05645a094ae1b725b724b7d721be7599c14d434082fcaf223ae2a543a7e"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", RECORD_CLI_GOLDEN,
+                         ids=["_".join(argv) for argv, _, _ in RECORD_CLI_GOLDEN])
+def test_record_cli_output_bytes_are_pinned(argv, code, digest):
+    out = io.StringIO()
+    assert run(argv, out, io.StringIO()) == code
+    assert sha256(out.getvalue()) == digest
+
+
 LIBRARY_GOLDEN = [
     # Irrational candidates: soddy-gen never prints them, because
     # parametrized triples always have square discriminants.
@@ -129,25 +170,26 @@ LIBRARY_GOLDEN = [
      "37ead3777aa290819b3f3ef009ce1d1a91a5abeff7480730fcdcaa5c5e5dc73b"),
     (lambda: soddy.scan_lattice(3).to_obj(),
      "f1414fe4b5bb3eb34f3dc2a4a9ab1709cb853fc537226e1d875a0c83709158c1"),
+    (lambda: [r.to_obj() for r in soddy.graham_quadruples(20)],
+     "e4c61b42134f58d0c610eedad0a1b317e29920bf82eac07cbf8924a19fc7a58b"),
 ]
 
 
-@pytest.mark.parametrize("build, digest", LIBRARY_GOLDEN, ids=["solve", "layout", "scale", "scan"])
+@pytest.mark.parametrize("build, digest", LIBRARY_GOLDEN,
+                         ids=["solve", "layout", "scale", "scan", "graham"])
 def test_library_output_bytes_are_pinned(build, digest):
     assert sha256(json.dumps(build())) == digest
 
 
-# Records whose JSON object is not their fields in order: a rational or a
-# surd (QuadraticValue), a bare list (CosTriple, CurvatureQuad), flattened
-# params (GrahamRecord, ScanRecord), or keys in another order than the
-# constructor's (FlowerPolySet).
-HAND_WRITTEN_ENCODERS = {
-    "QuadraticValue", "CosTriple", "CurvatureQuad", "GrahamRecord", "ScanRecord", "FlowerPolySet",
-}
+# Only values write their own encoder: a rational or a surd
+# (QuadraticValue), a bare list (CosTriple, CurvatureQuad) and a polynomial
+# (SparsePoly).  Every record follows ``wire``.
+HAND_WRITTEN_ENCODERS = {"QuadraticValue", "CosTriple", "CurvatureQuad", "SparsePoly"}
 CONVERTED_RECORDS = [
     geometry.FlowerConfig, geometry.ValidationReport, geometry.CirclePlacement,
     soddy.SolveReport, soddy.RadiiCandidate, soddy.ConstraintReport, soddy.ScaledFlower,
-    soddy.GrahamParams, soddy.GrahamRatios, soddy.ScanResult, pythag.Witness, pythag.PythSolution,
+    soddy.GrahamRecord, soddy.GrahamRatios, soddy.ScanRecord, soddy.ScanResult,
+    flowerpoly.CheckReport, flowerpoly.FlowerPolySet, pythag.Witness, pythag.PythSolution,
 ]
 
 
