@@ -192,7 +192,7 @@ def _cmd_pyth(args, stdout, stderr) -> int:
     try:
         if args.brute_force:
             triples = sorted(pythag.brute_force_triples(args.beta, args.bound))
-            objs = ({"beta": args.beta, "x": x, "y": y, "z": z} for x, y, z in triples)
+            objs = (pythag.PythTriple(args.beta, *t).to_obj() for t in triples)
         else:
             objs = (s.to_obj() for s in pythag.generate_triples(args.beta, args.bound))
     except ValueError as exc:

@@ -9,7 +9,9 @@ when m and n share parity (only both-odd survives the coprimality filter),
 and the unhalved variant x = |b*m^2 - c*n^2|, y = 2*m*n, z = b*m^2 + c*n^2
 for mixed parity.  Witness combinations whose halved forms are not integers
 are skipped; ``brute_force_triples`` is the exhaustive oracle that confirms
-nothing is lost that way.  Distinct witnesses for one (x, y, z) are merged,
+nothing is lost that way.  It knows nothing of witnesses: it walks every
+(z, y) with beta*y^2 < z^2 and finds x by looking z^2 - beta*y^2 up in an
+exact table of squares.  Distinct witnesses for one (x, y, z) are merged,
 keeping every witness.
 
 Finding the factor pairs of beta and testing it for square-freeness both
@@ -28,11 +30,14 @@ from .ratpoly import Record
 # Largest accepted beta: trial division up to sqrt(10**12) takes about a
 # tenth of a second, and the cost grows as sqrt(beta).
 MAX_BETA = 10**12
-# Largest accepted z bounds.  ``generate_triples`` at beta = 1 and 10**6
-# takes 13.5 s and its JSON is 55 MB; the cost grows linearly.  The brute
-# force grows quadratically: 2.6 s at 4000, 17.6 s at 10**4.
+# Largest accepted z bounds, timed as ``pyth --beta 1 ... --out FILE`` in a
+# fresh process on 2 vCPUs (Python 3.11.7), where ``graham`` at its ceiling
+# takes 4.8 s.  ``generate_triples`` at 10**6 takes 5.3 s and its JSON is
+# 55 MB; the cost grows linearly.  The brute force grows quadratically and
+# beta = 1, with the longest y walk, is its slowest: 2.2 s at 10**4, 4.5 s
+# at 15000, 8.8 s at 2*10**4.
 MAX_BOUND = 10**6
-MAX_BRUTE_FORCE_BOUND = 10**4
+MAX_BRUTE_FORCE_BOUND = 15000
 
 
 def _check_args(beta: int, z_bound: int, max_bound: int) -> None:
@@ -65,6 +70,17 @@ class Witness(Record):
     m: int
     n: int
     halved: bool
+
+
+@dataclass(frozen=True)
+class PythTriple(Record):
+    """One solution found by ``brute_force_triples``, as ``pyth --brute-force``
+    writes it."""
+
+    beta: int
+    x: int
+    y: int
+    z: int
 
 
 @dataclass(frozen=True)
@@ -139,20 +155,16 @@ def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:
 
 
 def brute_force_triples(beta: int, z_bound: int) -> set[tuple[int, int, int]]:
-    """Exhaustive oracle: scan x < z <= z_bound, solve for y, keep pairwise
-    coprime solutions."""
+    """Exhaustive oracle: for every z <= z_bound and every y >= 1 with
+    beta*y^2 < z^2, look z^2 - beta*y^2 up in an exact table of squares to
+    find x; keep the pairwise coprime solutions."""
     _check_args(beta, z_bound, MAX_BRUTE_FORCE_BOUND)
-    out: set[tuple[int, int, int]] = set()
-    for z in range(2, z_bound + 1):
-        zz = z * z
-        for x in range(1, z):
-            t = zz - x * x
-            q, r = divmod(t, beta)
-            if r:
-                continue
-            y = isqrt(q)
-            if y < 1 or y * y != q:
-                continue
-            if gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1:
-                out.add((x, y, z))
-    return out
+    root = {k * k: k for k in range(1, z_bound + 1)}
+    scaled = [beta * y * y for y in range(isqrt((z_bound * z_bound - 1) // beta) + 1)]
+    return {
+        (x, y, z)
+        for zz, z in root.items()
+        for y in range(1, isqrt((zz - 1) // beta) + 1)
+        if (x := root.get(zz - scaled[y]))
+        and gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1
+    }

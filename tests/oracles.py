@@ -1,6 +1,7 @@
 """Independent constructions the tests check the library against."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Sequence
 
 from mpmath import mp
@@ -152,3 +153,24 @@ class Surd:
 def surd_of(value) -> Surd:
     """A ``QuadraticValue`` record as a ``Surd``."""
     return Surd(value.base, value.coef, value.radicand)
+
+
+def brute_force_triples_by_x(beta: int, z_bound: int) -> set[tuple[int, int, int]]:
+    """The loop ``pythag.brute_force_triples`` ran before it walked y against
+    a table of squares, kept verbatim without its argument gate: scan
+    x < z <= z_bound, solve for y by division and ``isqrt``, keep pairwise
+    coprime solutions."""
+    out: set[tuple[int, int, int]] = set()
+    for z in range(2, z_bound + 1):
+        zz = z * z
+        for x in range(1, z):
+            t = zz - x * x
+            q, r = divmod(t, beta)
+            if r:
+                continue
+            y = isqrt(q)
+            if y < 1 or y * y != q:
+                continue
+            if gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1:
+                out.add((x, y, z))
+    return out

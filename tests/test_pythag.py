@@ -1,6 +1,8 @@
 """Generalized Pythagorean triples against the brute-force oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowerlab import pythag
 from flowerlab.pythag import (
@@ -8,6 +10,7 @@ from flowerlab.pythag import (
     generate_triples,
     is_squarefree,
 )
+from oracles import brute_force_triples_by_x
 
 
 def test_is_squarefree():
@@ -136,3 +139,26 @@ def test_triples_match_the_full_scan_enumeration(monkeypatch):
     monkeypatch.setattr(pythag, "_factor_pairs", _factor_pairs_by_full_scan)
     assert fast == [[s.to_obj() for s in generate_triples(b, 120)] for b in betas]
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.integers(1, 200).filter(is_squarefree), z_bound=st.integers(1, 200))
+def test_oracle_matches_the_x_walk(beta, z_bound):
+    assert brute_force_triples(beta, z_bound) == brute_force_triples_by_x(beta, z_bound)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3, 6, 10])
+@pytest.mark.parametrize("z_bound", [1, 2, 3, 50])
+def test_oracle_edge_cases_match_the_x_walk(beta, z_bound):
+    assert brute_force_triples(beta, z_bound) == brute_force_triples_by_x(beta, z_bound)
+
+
+def test_oracle_at_the_smallest_bounds():
+    assert brute_force_triples(1, 1) == set() and brute_force_triples(1, 2) == set()
+    assert brute_force_triples(3, 2) == {(1, 1, 2)}
+    assert brute_force_triples(2, 3) == {(1, 2, 3)}
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_generator_matches_oracle_at_bound_3000(beta):
+    assert {s.triple() for s in generate_triples(beta, 3000)} == brute_force_triples(beta, 3000)

@@ -190,6 +190,7 @@ CONVERTED_RECORDS = [
     soddy.SolveReport, soddy.RadiiCandidate, soddy.ConstraintReport, soddy.ScaledFlower,
     soddy.GrahamRecord, soddy.GrahamRatios, soddy.ScanRecord, soddy.ScanResult,
     flowerpoly.CheckReport, flowerpoly.FlowerPolySet, pythag.Witness, pythag.PythSolution,
+    pythag.PythTriple,
 ]
 
 
