@@ -50,14 +50,16 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
+# block_product does not call apply_sign; the name stays bound because
+# perfbench/spans.py wraps it in this module's __dict__.
 from .mixedring import (
-    apply_sign,
+    apply_sign,  # noqa: F401
     cos_sin_over_slots,
     point_cos_sin,
-    point_mul,
-    point_sign,
+    point_norm,
     point_squares,
     poly_at_mixed,
+    sign_norm,
 )
 from .ratpoly import Coeff, Exponents, Record, SparsePoly, norm_form, poly_json_chunks
 
@@ -148,7 +150,9 @@ def flower_value(xs: Sequence[Coeff]) -> Fraction:
     2^(n-2) sign conjugates, which leaves one sine-free term, and
     P_n(xs) = f / (Q*q_n)^(2^(n-2)) is the one division.  That denominator
     about doubles in digits with each petal, so n stops at ``MAX_N`` like
-    ``flower_poly``.
+    ``flower_poly``.  Each step is the norm step ``point_norm``: a term g
+    negates never multiplies one g fixes, because the two such products in
+    f * g(f) cancel.
     """
     n = len(xs)
     if n < 2:
@@ -160,7 +164,7 @@ def flower_value(xs: Sequence[Coeff]) -> Fraction:
     f[0] = f.get(0, 0) + last.numerator * big_q
     squares = point_squares(head)
     for g in range(n - 2):
-        f = point_mul(f, point_sign(1 << g, n - 1, f), squares)
+        f = point_norm(1 << g, n - 1, f, squares)
     return Fraction(f.get(0, 0), (big_q * last.denominator) ** (1 << (n - 2)))
 
 
@@ -170,7 +174,9 @@ def flower_poly_from_product(n: int) -> SparsePoly:
     product over the blocks (n-1, 1).
 
     Independent of the recursion route, and bounded like it by ``MAX_N``:
-    the norm tower never builds the 2^(n-2) factors one by one.
+    the norm tower never builds the 2^(n-2) factors one by one, and each
+    of its steps f <- f * g(f) is the norm step ``sign_norm``, which skips
+    the pairs of a term g negates and a term g fixes (they cancel).
     """
     _check_n(n, 2, MAX_N, "flower_poly_from_product")
     return block_product(n, (n - 1, 1))
@@ -201,7 +207,10 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
     so generators outside block j fix it and each factor is sigma(f) with
     f = P_k(c_1, ..., c_k).  The generators are commuting involutions, so
     f <- f * g(f) once for each generator g inside the blocks multiplies
-    sigma(f) over the whole group.
+    sigma(f) over the whole group.  Each step is the norm step
+    ``sign_norm``: with f = A + B, B the terms g negates, a term a of A and
+    a term b of B meet in f * g(f) once as a*(-b) and once as b*a, so those
+    pairs cancel and f * g(f) = A^2 - B^2.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -218,7 +227,7 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
         offset += size
     f = poly_at_mixed(flower_poly(len(composition)), block_cos)
     for g in generators:
-        f = f * apply_sign(1 << g, f)
+        f = sign_norm(1 << g, f)
     return f.to_poly()
 
 

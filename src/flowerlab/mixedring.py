@@ -7,8 +7,8 @@ variables present.
 
 This ring is the independent oracle for the flower polynomial: the
 definitional product routes in ``flowerpoly`` multiply sign conjugates of
-angle-sum expansions here, as a norm tower with one product f * g(f) per
-sign generator g, while ``flower_poly`` itself never leaves plain
+angle-sum expansions here, as a norm tower with one norm step f * g(f)
+per sign generator g, while ``flower_poly`` itself never leaves plain
 polynomial arithmetic.  The module provides
 
 * ``cos_sin_over_slots``: the expansions of cos and sin of an angle sum,
@@ -24,14 +24,19 @@ polynomial arithmetic.  The module provides
 * the ring at a rational point x_i = p_i/q_i, where y_i = s_i/q_i and
   s_i^2 = q_i^2 - p_i^2 is an int: a point element is a dict from sine
   mask to int, and two terms multiply to mask ma ^ mb times
-  prod_{i in ma & mb} (q_i^2 - p_i^2).  ``point_cos_sin``, ``point_mul`` and
-  ``point_sign`` are the expansions, the product and the sign maps there,
-  so ``flowerpoly.flower_value`` runs the norm tower on numbers.
+  prod_{i in ma & mb} (q_i^2 - p_i^2).  ``point_cos_sin`` and
+  ``point_norm`` are the expansions and the norm step there, so
+  ``flowerpoly.flower_value`` runs the norm tower on numbers.
 
 Multiplication keeps no kernel of its own: each operand's terms are grouped
 by y mask, the blocks are multiplied on packed x exponents with
 ``ratpoly``'s kernel, and the products that share sines are multiplied by
-their y_i^2 = 1 - x_i^2 factor once per group.
+their y_i^2 = 1 - x_i^2 factor once per group.  The norm step of the
+towers, ``sign_norm(gens, f)`` = f * apply_sign(gens, f), runs the same
+reduction on fewer block products: with f = A + B, B the terms ``gens``
+negates, it is A^2 - B^2, since a term of A and a term of B meet twice with
+opposite signs and cancel.  Each side is squared, every pair of its
+terms multiplied once, and no pair across the sides is multiplied at all.
 
 Like the pure polynomials, elements are immutable and all operations pure.
 """
@@ -47,6 +52,7 @@ from .ratpoly import (
     SparsePoly,
     TermMap,
     _mul_into,
+    _square_into,
     format_terms,
     normalize_coeff,
     pack_exponents,
@@ -132,24 +138,14 @@ class MixedElement(TermMap):
         # mask blocks are summed, x exponents packed as in SparsePoly, into
         # a group keyed by (sa ^ sb, sa & sb), and each group is multiplied
         # by its reduction factor once.  Widths allow for the extra x^2.
-        nvars = self.nvars
         bits = pack_width(self._max_exponent() + other._max_exponent() + 2)
         b = other._blocks(bits)
-        groups: dict[int, dict[int, dict[int, Coeff]]] = {}
+        groups: _Groups = {}
         for sa, block_a in self._blocks(bits).items():
             for sb, block_b in b.items():
                 by_common = groups.setdefault(sa ^ sb, {})
                 _mul_into(by_common.setdefault(sa & sb, {}), block_a, block_b)
-        factors = {m: _sine_squares(nvars, bits, m) for g in groups.values() for m in g if m}
-        out: dict[MixedKey, Coeff] = {}
-        for mask, by_common in groups.items():
-            acc = by_common.pop(0, {})
-            for common, group in by_common.items():
-                _mul_into(acc, group.items(), factors[common])
-            for k, c in acc.items():
-                if c:
-                    out[(unpack_exponents(k, nvars, bits), mask)] = normalize_coeff(c)
-        return MixedElement._raw(nvars, out)
+        return _reduce_groups(self.nvars, bits, groups)
 
     def _max_exponent(self) -> int:
         return max((max(e) for e, _ in self._terms), default=0)
@@ -160,6 +156,27 @@ class MixedElement(TermMap):
         for (e, ybits), c in self._terms.items():
             blocks.setdefault(ybits, []).append((pack_exponents(e, bits), c))
         return blocks
+
+
+# Block products before the sine squares are applied: y mask -> common
+# sines -> packed x exponents -> coefficient.
+_Groups = dict[int, dict[int, dict[int, Coeff]]]
+
+
+def _reduce_groups(nvars: int, bits: int, groups: _Groups) -> MixedElement:
+    """The element sum_{mask, common} y^mask * prod_{i in common} (1 - x_i^2)
+    * groups[mask][common]: each group is multiplied by its sine squares
+    once.  Consumes ``groups``."""
+    factors = {m: _sine_squares(nvars, bits, m) for g in groups.values() for m in g if m}
+    out: dict[MixedKey, Coeff] = {}
+    for mask, by_common in groups.items():
+        acc = by_common.pop(0, {})
+        for common, group in by_common.items():
+            _mul_into(acc, group.items(), factors[common])
+        for k, c in acc.items():
+            if c:
+                out[(unpack_exponents(k, nvars, bits), mask)] = normalize_coeff(c)
+    return MixedElement._raw(nvars, out)
 
 
 def _sine_squares(nvars: int, bits: int, mask: int) -> list[tuple[int, int]]:
@@ -204,6 +221,38 @@ def apply_sign(gens: int, element: MixedElement) -> MixedElement:
     return MixedElement._raw(n, {
         key: -c if (key[1] & flips).bit_count() & 1 else c for key, c in element.items()
     })
+
+
+def sign_norm(gens: int, element: MixedElement) -> MixedElement:
+    """``element * apply_sign(gens, element)``, without building the conjugate.
+
+    Split the element as A + B, where B holds the terms ``gens`` negates.
+    A term a of A and a term b of B meet twice in the product, once as
+    c_a*t_a * (-c_b*t_b) and once as c_b*t_b * c_a*t_a, and cancel, so the
+    product is A^2 - B^2: each y-mask block is squared, each pair of blocks
+    on the same side is multiplied once with doubled coefficients, and the
+    groups are reduced as in ``MixedElement.__mul__``.
+    """
+    nvars = element.nvars
+    flips = _sign_flips(gens, nvars)
+    bits = pack_width(2 * element._max_exponent() + 2)
+    sides: tuple[list, list] = ([], [])
+    for mask, block in element._blocks(bits).items():
+        sides[(mask & flips).bit_count() & 1].append((mask, block))
+    # A block squares to y mask 0 with its own mask as common sines, which
+    # no product of two different blocks reaches.
+    squares: dict[int, dict[int, Coeff]] = {}
+    groups: _Groups = {0: squares}
+    for sign, side in zip((1, -1), sides):
+        for i, (sa, block_a) in enumerate(side):
+            square: dict[int, Coeff] = {}
+            _square_into(square, block_a)
+            squares[sa] = square if sign > 0 else {k: -c for k, c in square.items()}
+            doubled = [(k, 2 * sign * c) for k, c in block_a]
+            for sb, block_b in side[i + 1 :]:
+                by_common = groups.setdefault(sa ^ sb, {})
+                _mul_into(by_common.setdefault(sa & sb, {}), doubled, block_b)
+    return _reduce_groups(nvars, bits, groups)
 
 
 # -- angle-sum expansions --------------------------------------------------------
@@ -301,19 +350,23 @@ def point_cos_sin(points: Sequence[Fraction]) -> tuple[dict[int, int], dict[int,
     return cos, sin
 
 
-def point_mul(a: dict[int, int], b: dict[int, int], squares: Sequence[int]) -> dict[int, int]:
-    """Product of two point elements: terms with masks ma and mb multiply to
-    mask ma ^ mb times ``squares[ma & mb]`` (``point_squares``)."""
+def point_norm(gens: int, nvars: int, element: dict[int, int],
+               squares: Sequence[int]) -> dict[int, int]:
+    """``element`` times its image under the sign automorphism ``gens`` over
+    ``nvars`` slots, as ``sign_norm``: A^2 - B^2 with B the terms ``gens``
+    negates.  Terms with masks ma and mb multiply to mask ma ^ mb times
+    ``squares[ma & mb]`` (``point_squares``)."""
+    flips = _sign_flips(gens, nvars)
+    sides: tuple[list, list] = ([], [])
+    for m, c in element.items():
+        sides[(m & flips).bit_count() & 1].append((m, c))
     out: dict[int, int] = {}
     get = out.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = ma ^ mb
-            out[m] = get(m, 0) + ca * cb * squares[ma & mb]
+    for sign, side in zip((1, -1), sides):
+        for i, (ma, ca) in enumerate(side):
+            out[0] = get(0, 0) + sign * ca * ca * squares[ma]
+            ca = 2 * sign * ca
+            for mb, cb in side[i + 1 :]:
+                m = ma ^ mb
+                out[m] = get(m, 0) + ca * cb * squares[ma & mb]
     return {m: c for m, c in out.items() if c}
-
-
-def point_sign(gens: int, nvars: int, element: dict[int, int]) -> dict[int, int]:
-    """``apply_sign`` on a point element over ``nvars`` slots."""
-    flips = _sign_flips(gens, nvars)
-    return {m: -c if (m & flips).bit_count() & 1 else c for m, c in element.items()}

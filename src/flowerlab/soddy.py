@@ -588,7 +588,8 @@ class GrahamRecord(Record):
 
 
 # Largest accepted bound of ``graham_quadruples``: the cost grows as the
-# cube of the bound (1.6 s at 400, 18.6 s and 8 MB of JSON lines at 1000).
+# cube of the bound (a fresh ``graham`` process took 0.4 s at 400, and
+# 4.2-4.5 s and 8.2 MB of JSON lines at 1000, on 2 vCPU AMD EPYC).
 MAX_GRAHAM_BOUND = 1000
 
 

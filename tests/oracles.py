@@ -8,7 +8,7 @@ from mpmath import mp
 
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import ANGLE_SUM_TOL, DPS, FlowerConfig
-from flowerlab.mixedring import MixedElement
+from flowerlab.mixedring import MixedElement, _sign_flips
 from flowerlab.ratpoly import SparsePoly
 
 
@@ -27,6 +27,25 @@ def angle_sum_cos_sin_direct(n: int) -> tuple[MixedElement, MixedElement]:
         sign = -1 if (sines // 2) % 2 else 1
         (sin_terms if sines % 2 else cos_terms)[(exps, mask)] = sign
     return MixedElement(n, cos_terms), MixedElement(n, sin_terms)
+
+
+def point_mul(a: dict[int, int], b: dict[int, int], squares: Sequence[int]) -> dict[int, int]:
+    """Product of two point elements (``mixedring.point_squares``): terms
+    with masks ma and mb multiply to mask ma ^ mb times ``squares[ma & mb]``.
+    With ``point_sign`` it is the oracle of ``mixedring.point_norm``."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma ^ mb
+            out[m] = get(m, 0) + ca * cb * squares[ma & mb]
+    return {m: c for m, c in out.items() if c}
+
+
+def point_sign(gens: int, nvars: int, element: dict[int, int]) -> dict[int, int]:
+    """``mixedring.apply_sign`` on a point element over ``nvars`` slots."""
+    flips = _sign_flips(gens, nvars)
+    return {m: -c if (m & flips).bit_count() & 1 else c for m, c in element.items()}
 
 
 def evaluate_by_fractions(poly: SparsePoly, point) -> Fraction:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from flowerlab import flowerpoly
+from flowerlab import flowerpoly, geometry, mixedring
 from flowerlab.flowerpoly import (
     CheckReport,
     FlowerPolySet,
@@ -157,6 +157,13 @@ def mixed_ring_step(prev: SparsePoly, n: int) -> SparsePoly:
     for exps, coeff in prev.items():
         a = a + MixedElement(n, {(exps[:last] + (0, 0), 0): coeff}) * w_pow[exps[last]]
     return (a * apply_sign(1 << (n - 2), a)).to_poly()
+
+
+def test_traced_names_stay_bound_where_the_tracer_looks_them_up():
+    # perfbench/spans.py wraps apply_sign and flower_poly in these modules'
+    # namespaces, though neither module calls the name it imports.
+    assert flowerpoly.apply_sign is mixedring.apply_sign
+    assert geometry.flower_poly is flowerpoly.flower_poly
 
 
 def test_norm_form_matches_mixed_ring_step():

@@ -1,18 +1,23 @@
-"""Quotient-ring arithmetic, angle-sum expansions, and sign automorphisms."""
+"""Quotient-ring arithmetic, angle-sum expansions, sign automorphisms and
+the norm steps f * g(f) of the sign towers."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowerlab.mixedring import (
     MixedElement,
     apply_sign,
     cos_sin_over_slots,
-    point_sign,
+    point_norm,
+    point_squares,
     poly_at_mixed,
+    sign_norm,
 )
 from flowerlab.ratpoly import SparsePoly
-from oracles import angle_sum_cos_sin_direct
+from oracles import angle_sum_cos_sin_direct, point_mul, point_sign
 
 
 def x(n, i):
@@ -107,6 +112,10 @@ def test_sign_mask_validation():
     for gens in (-1, 0b1000, 0b1111):
         with pytest.raises(ValueError):
             apply_sign(gens, MixedElement.one(4))
+        with pytest.raises(ValueError):
+            sign_norm(gens, MixedElement.one(4))
+        with pytest.raises(ValueError):
+            point_norm(gens, 4, {0: 1}, [1] * 16)
     with pytest.raises(ValueError):
         apply_sign(1, MixedElement.one(1))
     assert apply_sign(0, MixedElement.one(1)) == MixedElement.one(1)
@@ -118,6 +127,10 @@ def test_sign_maps_refuse_a_mask_that_is_not_an_int(gens):
         apply_sign(gens, MixedElement.one(3))
     with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
         point_sign(gens, 3, {0: 1})
+    with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
+        sign_norm(gens, MixedElement.one(3))
+    with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
+        point_norm(gens, 3, {0: 1}, [1] * 8)
 
 
 def test_to_poly_extraction_and_error():
@@ -169,3 +182,61 @@ def test_pretty_prints_cosines_before_sines_in_degree_order():
     assert repr(elem) == "MixedElement(2, '-3/2*x1*y2+1/3')"
     assert MixedElement.zero(2).pretty() == "0"
     assert (MixedElement.x_var(2, 1) ** 3 - MixedElement.one(2)).pretty() == "x2^3-1"
+
+
+# -- norm steps ---------------------------------------------------------------
+
+COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+
+
+def elements(n):
+    keys = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(0, (1 << n) - 1))
+    return st.builds(MixedElement, st.just(n), st.dictionaries(keys, COEFFS, max_size=10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(elements))
+@example(MixedElement.zero(2))
+@example(MixedElement.zero(4))
+def test_sign_norm_is_the_product_with_the_conjugate(f):
+    for g in range(1 << (f.nvars - 1)):
+        assert sign_norm(g, f) == f * apply_sign(g, f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 4).flatmap(elements))
+def test_sign_norm_of_a_fixed_or_a_negated_element(f):
+    # (f + g(f))/2 holds the terms g fixes, (f - g(f))/2 those it negates.
+    for g in range(1, 1 << (f.nvars - 1)):
+        conjugate = apply_sign(g, f)
+        fixed, negated = (f + conjugate) * Fraction(1, 2), (f - conjugate) * Fraction(1, 2)
+        assert sign_norm(g, fixed) == fixed * fixed == fixed * apply_sign(g, fixed)
+        assert sign_norm(g, negated) == -(negated * negated) == negated * apply_sign(g, negated)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sign_norm_of_angle_sums(n):
+    ec, es = cos_sin_over_slots(n, range(n))
+    for g in range(1 << (n - 1)):
+        for f in (ec, es, ec - 1, ec * Fraction(2, 3) + es):
+            assert sign_norm(g, f) == f * apply_sign(g, f)
+
+
+POINT_CASES = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(-10**20, 10**20), max_size=1 << n),
+    st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+             min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINT_CASES)
+def test_point_norm_is_the_product_with_the_conjugate(case):
+    n, f, points = case
+    squares = point_squares(points)
+    for g in range(1 << (n - 1)):
+        assert point_norm(g, n, f, squares) == point_mul(f, point_sign(g, n, f), squares)

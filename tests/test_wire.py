@@ -106,6 +106,11 @@ CLI_GOLDEN = [
      "a4166bfb8b24e0c8c019551fda6cf14917b89d0711507ddfeb4ec8cd0f3067c2"),
     (["pyth", "--beta", "2", "--bound", "200", "--brute-force"], 0,
      "05074a2f197bf9910d2b1bfef19bbfede74999eb6fc99f1f1699be3273d63144"),
+    # The sign-conjugate towers at their largest sizes.
+    (["cn", "--n", "5"], 0,
+     "e993551d76e14a3a14158b275a4a30667b073423f2b092ee7ba73aedc75e9967"),
+    (["pn", "--n", "6", "--route", "product"], 0,
+     "6c1aecced2dd10d7b7f6f28186efddefc14c1840ca81e035797052c8a1539d92"),
 ]
 
 
@@ -130,6 +135,8 @@ RECORD_CLI_GOLDEN = [
      "4a447f647ddc1281c56c95a8f39a53daae62741f4cf7e3a25d0c7caea96a0efe"),
     (["verify", "--n", "5", "--all", "--format", "json"], 0,
      "a760bc47bf88a0aef4d6c98170c91c00a8269c8e6dfe1a34ce483d3a7d566bee"),
+    (["verify", "--n", "6", "--all", "--format", "json"], 0,
+     "08fcfdbe4d4a073a5354d1b8b5f40adc47baec89a2fc97180770b6b28e8e0dc7"),
     (["verify", "--n", "6", "--symmetry", "--monic", "--format", "json"], 0,
      "11137bdb8c63588e3bfcf2d5ec18cddeca50fa8f0f2be55f5752aa4fce148fa5"),
     (["verify", "--n", "5", "--all"], 0,
