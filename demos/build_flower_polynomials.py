@@ -54,8 +54,10 @@ def main() -> None:
     rx = radius_expansion()
     print("homogeneous part has", len(rx.homogeneous), "terms of total degree 12")
     for power, coeff in enumerate(rx.coefficients):
-        print(f"  r^{power} coefficient: {len(coeff)} terms, degree {coeff.total_degree()}")
-    print("constant coefficient:", rx.coefficients[0].pretty(["r1", "r2", "r3"]))
+        degree = max((sum(e) for e, _ in coeff.items()), default=0)
+        print(f"  r^{power} coefficient: {len(coeff)} terms, degree {degree}")
+    # pretty() names the variables x1..x3; here they are the petal radii.
+    print("constant coefficient:", rx.coefficients[0].pretty().replace("x", "r"))
 
 
 if __name__ == "__main__":

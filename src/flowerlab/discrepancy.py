@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .flowerpoly import RadiusExpansion, radius_coefficients_symmetric, radius_expansion
+from .flowerpoly import radius_coefficients_symmetric, radius_expansion
 from .geometry import FlowerConfig, center_angle_cosine, validate_flower
 from .ratpoly import SparsePoly, format_rational, wire
 from .soddy import (
@@ -176,11 +176,10 @@ def _poly_from_terms(terms: dict) -> SparsePoly:
     return SparsePoly(3, {tuple(e): c for e, c in terms.items()})
 
 
-def radius_expansion_report(expansion: RadiusExpansion | None = None) -> dict:
+def radius_expansion_report() -> dict:
     """Compare the computed radius-polynomial split against the recorded
     coefficient lists; mismatches are itemized, not raised."""
-    if expansion is None:
-        expansion = radius_expansion()
+    expansion = radius_expansion()
     entries = {}
     all_match = True
     for label, ref in REFERENCE_RADIUS_COEFFS.items():

@@ -21,7 +21,8 @@ what it builds: P_n up to ``MAX_N``, the closure product P_n^2 up to n = 5.
 ``flower_value(xs)`` is the exact P_n(xs) by the tower of the blocks
 (n-1, 1) run at a rational point, on ``mixedring``'s point elements: n-2
 products of dicts with at most 2^(n-2) int entries instead of the 19,449
-terms of P_6, so a flower check never builds or reads the polynomial.
+terms of P_6, so a flower check never builds or reads the polynomial.  It
+is the package's one evaluation of P_n; none is taken in floating point.
 
 P_n (n = 3..6) is irreducible over Q, and so over Z, being monic.  It is
 monic in x_n (``verify_monic``), so any factorisation survives setting
@@ -65,8 +66,6 @@ from .ratpoly import Coeff, Exponents, Record, SparsePoly, norm_form, poly_json_
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
 MAX_N = 6
-
-TWO_PI = 2.0 * math.pi
 
 
 class SizeLimitError(ValueError):
@@ -363,33 +362,6 @@ def verify(n: int, checks: Iterable[str] = ()) -> tuple[list[CheckReport], list[
         else:
             skipped.append(f"{name} (supports n in {low}..{high}, got {n})")
     return reports, skipped
-
-
-# -- numeric variety membership --------------------------------------------------
-
-
-def variety_residual(n: int, angles: Sequence[float]) -> float:
-    """|flower polynomial at (cos a_1, ..., cos a_n)| for angles summing to 2*pi."""
-    if n < 3:
-        raise ValueError("need at least three angles")
-    if len(angles) != n:
-        raise ValueError(f"expected {n} angles, got {len(angles)}")
-    if any(a <= 0 for a in angles):
-        raise ValueError("angles must be positive")
-    if abs(math.fsum(angles) - TWO_PI) > 1e-12:
-        raise ValueError(f"angles sum to {math.fsum(angles)!r}, not 2*pi")
-    pn = flower_poly(n)
-    return abs(pn.evaluate_float([math.cos(a) for a in angles]))
-
-
-def random_flower_angles(n: int, rng) -> list[float]:
-    """Random positive angles summing to 2*pi: draw n-1 uniformly on
-    (0, 2*pi) and set the last to the remainder, rejecting non-positive."""
-    while True:
-        head = [rng.uniform(0.0, TWO_PI) for _ in range(n - 1)]
-        last = TWO_PI - math.fsum(head)
-        if last > 1e-9 and all(a > 1e-9 for a in head):
-            return head + [last]
 
 
 # -- radius polynomial for three petals -------------------------------------------

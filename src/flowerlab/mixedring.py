@@ -86,22 +86,15 @@ class MixedElement(TermMap):
 
     @classmethod
     def x_var(cls, nvars: int, index: int) -> "MixedElement":
-        return cls.from_poly(SparsePoly.variable(nvars, index))
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} out of range")
+        return cls._raw(nvars, {(tuple(int(i == index) for i in range(nvars)), 0): 1})
 
     @classmethod
     def y_var(cls, nvars: int, index: int) -> "MixedElement":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
         return cls._raw(nvars, {((0,) * nvars, 1 << index): 1})
-
-    @classmethod
-    def from_poly(cls, poly: SparsePoly) -> "MixedElement":
-        return cls._raw(poly.nvars, {(e, 0): c for e, c in poly.items()})
-
-    def _lift(self, other) -> "MixedElement | None":
-        if isinstance(other, SparsePoly):
-            return MixedElement.from_poly(other)
-        return super()._lift(other)
 
     # -- inspection --------------------------------------------------------
 
@@ -129,8 +122,7 @@ class MixedElement(TermMap):
     def __mul__(self, other) -> "MixedElement":
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, MixedElement):
             return NotImplemented
         self._check_arity(other)
         # Two terms with y masks sa and sb multiply to y mask sa ^ sb times

@@ -14,9 +14,10 @@ nothing is lost that way.  It knows nothing of witnesses: it walks every
 exact table of squares.  Distinct witnesses for one (x, y, z) are merged,
 keeping every witness.
 
-Finding the factor pairs of beta and testing it for square-freeness both
-trial-divide up to sqrt(beta), so beta is capped at ``MAX_BETA``; the z
-bounds are capped at ``MAX_BOUND`` and ``MAX_BRUTE_FORCE_BOUND``.
+Both routes refuse a beta that is not square-free.  Finding the factor
+pairs of beta and testing it for square-freeness both trial-divide up to
+sqrt(beta), so beta is capped at ``MAX_BETA``; the z bounds are capped at
+``MAX_BOUND`` and ``MAX_BRUTE_FORCE_BOUND``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _check_args(beta: int, z_bound: int, max_bound: int) -> None:
         raise ValueError(f"beta must be at most {MAX_BETA}, got {beta}")
     if type(z_bound) is not int or not 1 <= z_bound <= max_bound:
         raise ValueError(f"bound must be in 1..{max_bound}, got {z_bound}")
+    if not is_squarefree(beta):
+        raise ValueError(f"beta = {beta} is not square-free")
 
 
 def is_squarefree(n: int) -> bool:
@@ -94,14 +97,6 @@ class PythSolution(Record):
     def triple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
-    def verifies(self) -> bool:
-        x, y, z = self.x, self.y, self.z
-        return (
-            x >= 1 and y >= 1 and z >= 1
-            and x * x + self.beta * y * y == z * z
-            and gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1
-        )
-
 
 def _factor_pairs(beta: int) -> Iterator[tuple[int, int]]:
     """Every (b, c) with b*c = beta, in ascending b: trial division up to
@@ -115,8 +110,6 @@ def _factor_pairs(beta: int) -> Iterator[tuple[int, int]]:
 def generate_triples(beta: int, z_bound: int) -> list[PythSolution]:
     """All primitive solutions with z <= z_bound, each with its witnesses."""
     _check_args(beta, z_bound, MAX_BOUND)
-    if not is_squarefree(beta):
-        raise ValueError(f"beta = {beta} is not square-free")
     found: dict[tuple[int, int, int], list[Witness]] = {}
 
     def emit(x: int, y: int, z: int, witness: Witness) -> None:

@@ -22,8 +22,9 @@ every partial sum.
 
 Canonical term order is graded lexicographic, descending: higher total
 degree first, ties broken lexicographically on the exponent tuple with the
-first variable strongest.  Serialization always uses this order, so two
-equal polynomials serialize identically.  ``poly_json_chunks`` writes the
+first variable strongest.  Serialization always uses this order and the
+variable names x1..xn, so two equal polynomials serialize identically; the
+package writes polynomial JSON and reads none.  ``poly_json_chunks`` writes the
 indented JSON of ``poly_to_obj`` term by term, for polynomials too large to
 build as a dict tree first.  ``wire`` is the JSON rule of every result
 record: a ``Fraction`` travels as that canonical string, and a ``Record``
@@ -73,15 +74,6 @@ def parse_rational(text: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"not a rational number: {text!r}")
-
-
-def parse_int_list(raw, what: str) -> tuple[int, ...]:
-    """Parse a JSON list of integers, such as a term's exponents."""
-    if not isinstance(raw, list):
-        raise ValueError(f"{what} must be a list, got {raw!r}")
-    if not all(type(v) is int for v in raw):
-        raise ValueError(f"{what} must hold integers, got {raw!r}")
-    return tuple(raw)
 
 
 def format_rational(value: Coeff) -> str:
@@ -335,9 +327,6 @@ class SparsePoly(TermMap):
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self._terms.get(tuple(exps), 0)
 
-    def constant(self) -> Coeff:
-        return self._terms.get(self._unit_key(self.nvars), 0)
-
     def degree_in(self, index: int) -> int:
         """Largest exponent of the given variable; 0 if the variable is absent."""
         if not 0 <= index < self.nvars:
@@ -345,11 +334,6 @@ class SparsePoly(TermMap):
         if not self._terms:
             return 0
         return max(e[index] for e in self._terms)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
 
     def _max_exponent(self) -> int:
         return max((max(e, default=0) for e in self._terms), default=0)
@@ -423,22 +407,6 @@ class SparsePoly(TermMap):
             level = folded
         return Fraction(level[()], denominator)
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """Floating-point value at a real point."""
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point length {len(point)} does not match variable count {self.nvars}"
-            )
-        values = [float(v) for v in point]
-        total = 0.0
-        for exps, coeff in self._terms.items():
-            term = float(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term *= values[i] ** e
-            total += term
-        return total
-
     def specialize(self, index: int, value: Coeff) -> "SparsePoly":
         """Set x_index to a rational constant and drop that variable slot."""
         if not 0 <= index < self.nvars:
@@ -478,12 +446,12 @@ class SparsePoly(TermMap):
 
     # -- display -------------------------------------------------------------
 
-    def pretty(self, var_names: Sequence[str] | None = None) -> str:
+    def pretty(self) -> str:
         """Plain-text form, e.g. ``x1^2+x2^2+x3^2-2*x1*x2*x3-1``."""
-        return format_terms(resolve_var_names(self.nvars, var_names), self.sorted_terms())
+        return format_terms(resolve_var_names(self.nvars), self.sorted_terms())
 
     def to_obj(self) -> dict:
-        """The canonical JSON object, ``poly_to_obj`` with the default names."""
+        """The canonical JSON object, ``poly_to_obj``."""
         return poly_to_obj(self)
 
 
@@ -563,12 +531,9 @@ def norm_form(p: SparsePoly, q: SparsePoly, d: SparsePoly) -> SparsePoly:
     return _unpack_terms(acc, p.nvars, bits)
 
 
-def resolve_var_names(nvars: int, var_names: Sequence[str] | None = None) -> list[str]:
-    """The given variable names, or the default ``x1..xn`` when none are."""
-    names = list(var_names) if var_names else [f"x{i + 1}" for i in range(nvars)]
-    if len(names) != nvars:
-        raise ValueError("variable name list has wrong length")
-    return names
+def resolve_var_names(nvars: int) -> list[str]:
+    """The variable names ``x1..xn``."""
+    return [f"x{i + 1}" for i in range(nvars)]
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -578,9 +543,9 @@ def resolve_var_names(nvars: int, var_names: Sequence[str] | None = None) -> lis
 # with terms in graded-lex descending order and canonical fraction strings.
 
 
-def poly_to_obj(poly: SparsePoly, var_names: Sequence[str] | None = None) -> dict:
+def poly_to_obj(poly: SparsePoly) -> dict:
     return {
-        "vars": resolve_var_names(poly.nvars, var_names),
+        "vars": resolve_var_names(poly.nvars),
         "terms": [
             {"c": format_rational(c), "e": list(e)} for e, c in poly.sorted_terms()
         ],
@@ -608,33 +573,3 @@ def poly_json_chunks(poly: SparsePoly, depth: int = 0) -> Iterator[str]:
     for i, (e, c) in enumerate(poly.sorted_terms()):
         yield ("," if i else "") + term % (format_rational(c), sep.join(map(str, e)))
     yield (pad + "  ]" if poly else "]") + pad + "}"
-
-
-def poly_from_obj(obj: Mapping) -> tuple[SparsePoly, list[str]]:
-    try:
-        names, raw_terms = obj["vars"], obj["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("polynomial object needs 'vars' and 'terms'") from exc
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise ValueError(f"polynomial 'vars' must be a list of names, got {names!r}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"polynomial 'vars' repeats a name: {names!r}")
-    if not isinstance(raw_terms, list):
-        raise ValueError(f"polynomial 'terms' must be a list, got {raw_terms!r}")
-    nvars = len(names)
-    terms: dict[Exponents, Coeff] = {}
-    for entry in raw_terms:
-        try:
-            text, raw_exps = entry["c"], entry["e"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"polynomial term needs 'c' and 'e': {entry!r}") from exc
-        coeff = parse_rational(str(text))
-        exps = parse_int_list(raw_exps, "polynomial term 'e'")
-        if exps in terms:
-            raise ValueError(f"duplicate monomial in serialized polynomial: {exps}")
-        terms[exps] = coeff
-    return SparsePoly(nvars, terms), list(names)
-
-
-def poly_dumps(poly: SparsePoly, var_names: Sequence[str] | None = None) -> str:
-    return json.dumps(poly_to_obj(poly, var_names), separators=(",", ":"))

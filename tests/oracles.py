@@ -1,5 +1,7 @@
 """Independent constructions the tests check the library against."""
 
+import json
+import math
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
@@ -9,7 +11,47 @@ from mpmath import mp
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import ANGLE_SUM_TOL, DPS, FlowerConfig
 from flowerlab.mixedring import MixedElement, _sign_flips
-from flowerlab.ratpoly import SparsePoly
+from flowerlab.ratpoly import SparsePoly, parse_rational, poly_to_obj
+
+TWO_PI = 2.0 * math.pi
+
+
+def poly_from_json(obj) -> SparsePoly:
+    """The polynomial of a ``poly_to_obj`` object.  It reads only the package's
+    own output, so it checks nothing."""
+    terms = {tuple(t["e"]): parse_rational(t["c"]) for t in obj["terms"]}
+    return SparsePoly(len(obj["vars"]), terms)
+
+
+def compact_json(poly: SparsePoly) -> str:
+    """``poly_to_obj`` without whitespace: the format of ``data/p5.json``."""
+    return json.dumps(poly_to_obj(poly), separators=(",", ":"))
+
+
+def float_residual(poly: SparsePoly, angles: Sequence[float]) -> float:
+    """|poly(cos a_1, ..., cos a_n)| in floating point."""
+    xs = [math.cos(a) for a in angles]
+    return abs(sum(float(c) * math.prod(x**e for x, e in zip(xs, exps))
+                   for exps, c in poly.items()))
+
+
+def random_flower_angles(n: int, rng) -> list[float]:
+    """Random positive angles summing to 2*pi: draw n-1 uniformly on
+    (0, 2*pi) and set the last to the remainder, rejecting non-positive."""
+    while True:
+        head = [rng.uniform(0.0, TWO_PI) for _ in range(n - 1)]
+        last = TWO_PI - math.fsum(head)
+        if last > 1e-9 and all(a > 1e-9 for a in head):
+            return head + [last]
+
+
+def is_primitive_solution(beta: int, x: int, y: int, z: int) -> bool:
+    """x^2 + beta*y^2 = z^2 in positive, pairwise coprime integers."""
+    return (
+        x >= 1 and y >= 1 and z >= 1
+        and x * x + beta * y * y == z * z
+        and gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1
+    )
 
 
 def angle_sum_cos_sin_direct(n: int) -> tuple[MixedElement, MixedElement]:

@@ -18,15 +18,19 @@ from flowerlab.flowerpoly import (
     flower_poly_from_product,
     radius_coefficients_symmetric,
     radius_expansion,
-    random_flower_angles,
-    variety_residual,
     verify_general_recursion,
     verify_specialization,
 )
 from flowerlab.geometry import FlowerConfig, validate_flower
 from flowerlab.mixedring import MixedElement, cos_sin_over_slots
-from flowerlab.ratpoly import SparsePoly, poly_dumps
-from oracles import angle_sum_cos_sin_direct
+from flowerlab.ratpoly import SparsePoly
+from oracles import (
+    angle_sum_cos_sin_direct,
+    compact_json,
+    float_residual,
+    is_primitive_solution,
+    random_flower_angles,
+)
 
 F = Fraction
 
@@ -72,7 +76,7 @@ def test_criterion_01_printed_polynomial_regression():
     computed = {n: flower_poly(n) for n in (1, 2, 3, 4)}
     elapsed = time.perf_counter() - t0
     fixtures = transcribed_small_polys()
-    ok = all(poly_dumps(computed[n]) == poly_dumps(fixtures[n]) for n in fixtures)
+    ok = all(compact_json(computed[n]) == compact_json(fixtures[n]) for n in fixtures)
     ok = ok and elapsed < 1.0
     report(1, "printed-polynomial regression (n=1..4, byte-identical)", ok,
            f" [{elapsed:.3f}s]")
@@ -177,7 +181,7 @@ def test_criterion_07_numeric_variety_membership():
     for n in (3, 4, 5):
         for _ in range(1000):
             angles = random_flower_angles(n, rng)
-            worst = max(worst, variety_residual(n, angles))
+            worst = max(worst, float_residual(flower_poly(n), angles))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
     report(7, "numeric variety membership (3000 random angle tuples)", ok,
@@ -187,7 +191,7 @@ def test_criterion_07_numeric_variety_membership():
 
 def test_criterion_08_radius_polynomial():
     rx = radius_expansion()
-    rep = discrepancy.radius_expansion_report(rx)
+    rep = discrepancy.radius_expansion_report()
     ok = rx.coefficients[0] == SparsePoly(3, {(4, 4, 4): 16})
     ok = ok and radius_coefficients_symmetric(rx)
     # the comparison against the recorded lists must be recorded, mismatch
@@ -262,7 +266,7 @@ def test_criterion_13_generalized_triples():
     for beta in (1, 2, 3, 5, 6, 7, 10, 11, 13):
         sols = pythag.generate_triples(beta, 1000)
         ok = ok and {s.triple() for s in sols} == pythag.brute_force_triples(beta, 1000)
-        ok = ok and all(s.verifies() for s in sols)
+        ok = ok and all(is_primitive_solution(s.beta, *s.triple()) for s in sols)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     report(13, "generalized triples match the brute-force oracle (z<=1000)", ok,

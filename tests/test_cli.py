@@ -14,8 +14,8 @@ import pytest
 from flowerlab import cli, flowerpoly, geometry, pythag, soddy
 from flowerlab.cli import build_parser, run
 from flowerlab.flowerpoly import flower_poly
-from flowerlab.ratpoly import SparsePoly, poly_from_obj
-from oracles import evaluate_by_fractions
+from flowerlab.ratpoly import SparsePoly
+from oracles import evaluate_by_fractions, poly_from_json
 
 
 def call(argv, env=None, monkeypatch=None):
@@ -32,9 +32,8 @@ def test_pn_json_round_trips():
     assert code == 0
     obj = json.loads(out)
     assert obj["n"] == 3 and obj["provenance"] == {"pn": "recursive"}
-    poly, names = poly_from_obj(obj["pn"])
-    assert poly == flower_poly(3)
-    assert names == ["x1", "x2", "x3"]
+    assert poly_from_json(obj["pn"]) == flower_poly(3)
+    assert obj["pn"]["vars"] == ["x1", "x2", "x3"]
     assert obj["cn"] is None
 
 
@@ -49,8 +48,7 @@ def test_pn_product_route():
     assert code == 0
     obj = json.loads(out)
     assert obj["provenance"] == {"pn": "product"}
-    poly, _ = poly_from_obj(obj["pn"])
-    assert poly == flower_poly(4)
+    assert poly_from_json(obj["pn"]) == flower_poly(4)
     # The product route reaches the ceiling: an independent P_6.
     code, out, _ = call(["pn", "--n", "6", "--route", "product"])
     assert code == 0
@@ -64,7 +62,7 @@ def test_cn_includes_square():
     code, out, _ = call(["cn", "--n", "2"])
     obj = json.loads(out)
     assert obj["provenance"]["cn"] == "definitional"
-    cn, _ = poly_from_obj(obj["cn"])
+    cn = poly_from_json(obj["cn"])
     pn = flower_poly(2)
     assert cn == pn * pn
 
@@ -274,6 +272,14 @@ def test_pyth_rejects_non_positive_beta():
         assert err == f"error: beta must be a positive integer, got {beta}\n"
 
 
+def test_pyth_brute_force_refuses_a_beta_that_is_not_square_free(tmp_path):
+    target = tmp_path / "triples.json"
+    code, out, err = call(["pyth", "--beta", "4", "--bound", "10", "--brute-force",
+                           "--out", str(target)])
+    assert (code, out, err) == (2, "", "error: beta = 4 is not square-free\n")
+    assert not target.exists()
+
+
 def test_flower_check_valid_and_invalid():
     code, out, _ = call(["flower", "check", "6", "69", "46", "23"])
     assert code == 0
@@ -284,6 +290,18 @@ def test_flower_check_valid_and_invalid():
     assert json.loads(out)["valid"] is False
     code, out, _ = call(["flower", "check", "1", "23/2", "23/3", "23/6"])
     assert code == 0
+
+
+# A mirror-symmetric flower with one petal moved by 1e-9: P_n still vanishes
+# there (n even), and the angle sum misses 2*pi by less than ANGLE_SUM_TOL.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("radii", [
+    "1 3 2 3000000001/1000000000 2",
+    "1 1 1 1 1000000001/1000000000 1 1",
+], ids=["kite", "hexagon"])
+def test_flower_check_rejects_a_petal_moved_off_a_mirror_flower(radii):
+    code, out, _ = call(["flower", "check", *radii.split()])
+    assert code == 1 and json.loads(out)["valid"] is False
 
 
 def test_flower_check_six_petals_matches_the_oracle_report():

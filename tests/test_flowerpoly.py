@@ -18,8 +18,6 @@ from flowerlab.flowerpoly import (
     flower_poly_from_product,
     radius_coefficients_symmetric,
     radius_expansion,
-    random_flower_angles,
-    variety_residual,
     verify,
     verify_general_recursion,
     verify_monic,
@@ -28,7 +26,8 @@ from flowerlab.flowerpoly import (
     verify_symmetry,
 )
 from flowerlab.mixedring import MixedElement, apply_sign, cos_sin_over_slots
-from flowerlab.ratpoly import SparsePoly, poly_dumps
+from flowerlab.ratpoly import SparsePoly
+from oracles import compact_json, float_residual, random_flower_angles
 
 P1 = SparsePoly(1, {(1,): 1, (0,): -1})
 P2 = SparsePoly(2, {(0, 1): 1, (1, 0): -1})
@@ -61,8 +60,8 @@ def transcribed_p4() -> SparsePoly:
 def test_base_cases_match_fixtures():
     assert flower_poly(1) == P1
     assert flower_poly(2) == P2
-    assert poly_dumps(flower_poly(1)) == poly_dumps(P1)
-    assert poly_dumps(flower_poly(2)) == poly_dumps(P2)
+    assert compact_json(flower_poly(1)) == compact_json(P1)
+    assert compact_json(flower_poly(2)) == compact_json(P2)
 
 
 def test_three_and_four_petal_displays():
@@ -94,7 +93,7 @@ def test_five_petal_designated_coefficients():
 
 def test_five_petal_fixture_file_is_canonical():
     text = resources.files("flowerlab").joinpath("data/p5.json").read_text()
-    assert text == poly_dumps(flower_poly(5)) + "\n"
+    assert text == compact_json(flower_poly(5)) + "\n"
 
 
 class Count(enum.IntEnum):
@@ -297,17 +296,8 @@ def test_size_ceiling():
 
 def test_variety_residual_special_points():
     third = 2 * math.pi / 3
-    assert variety_residual(3, [third, third, third]) <= 1e-12
-    assert variety_residual(3, [math.pi, math.pi / 2, math.pi / 2]) <= 1e-12
-
-
-def test_variety_residual_validates_input():
-    with pytest.raises(ValueError):
-        variety_residual(3, [1.0, 1.0, 1.0])  # wrong sum
-    with pytest.raises(ValueError):
-        variety_residual(3, [2 * math.pi, 1.0, -1.0 + 2 * math.pi])  # nonpositive
-    with pytest.raises(ValueError):
-        variety_residual(3, [1.0, 1.0])
+    assert float_residual(flower_poly(3), [third, third, third]) <= 1e-12
+    assert float_residual(flower_poly(3), [math.pi, math.pi / 2, math.pi / 2]) <= 1e-12
 
 
 def test_variety_residual_random_membership():
@@ -315,7 +305,7 @@ def test_variety_residual_random_membership():
     for n in (3, 4, 5):
         for _ in range(200):
             angles = random_flower_angles(n, rng)
-            assert variety_residual(n, angles) <= 1e-9
+            assert float_residual(flower_poly(n), angles) <= 1e-9
 
 
 def test_radius_expansion_structure():
