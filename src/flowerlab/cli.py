@@ -18,6 +18,12 @@ internal error: one ``internal error:`` line on stderr, no traceback.
 Numeric inputs are exact rationals ``p`` or ``p/q``, like ``23/2``.  The
 handlers parse and print only: every tolerance, ceiling, range gate and
 check plan lives in the library module that does the work.
+
+Each handler imports the library module it calls, so ``import
+flowerlab.cli`` loads only ``flowerpoly`` (whose check names and size
+ceiling the parser reads) and ``ratpoly``: neither mpmath nor the
+``soddy``, ``geometry``, ``pythag`` or ``discrepancy`` modules, which a
+one-shot ``pn`` or ``verify`` process never runs.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import sys
 from itertools import chain
 from typing import Iterable, Iterator
 
-from . import discrepancy, flowerpoly, geometry, pythag, soddy
+from . import flowerpoly
 from .flowerpoly import FlowerPolySet, SizeLimitError
 from .ratpoly import parse_rational, wire
 
@@ -124,6 +130,8 @@ def _cmd_verify(args, stdout, stderr) -> int:
 
 
 def _cmd_soddy_gen(args, stdout, stderr) -> int:
+    from . import soddy
+
     m1, n1, m2, n2 = args.params
     try:
         params = soddy.SoddyParams(m1, n1, m2, n2)
@@ -162,6 +170,8 @@ def _cmd_soddy_gen(args, stdout, stderr) -> int:
 
 
 def _cmd_soddy_scan(args, stdout, stderr) -> int:
+    from . import soddy
+
     try:
         result = soddy.scan_lattice(args.bound)
     except ValueError as exc:
@@ -176,6 +186,8 @@ def _cmd_soddy_scan(args, stdout, stderr) -> int:
 
 
 def _cmd_graham(args, stdout, stderr) -> int:
+    from . import soddy
+
     try:
         records = soddy.graham_quadruples(args.bound)
     except ValueError as exc:
@@ -189,6 +201,8 @@ def _cmd_graham(args, stdout, stderr) -> int:
 
 
 def _cmd_pyth(args, stdout, stderr) -> int:
+    from . import pythag
+
     try:
         if args.brute_force:
             triples = sorted(pythag.brute_force_triples(args.beta, args.bound))
@@ -201,8 +215,11 @@ def _cmd_pyth(args, stdout, stderr) -> int:
     return 0
 
 
-def _flower_config(args) -> geometry.FlowerConfig:
-    """The center radius then the petal radii; ``FlowerConfig`` checks them."""
+def _flower_config(args):
+    """The ``geometry.FlowerConfig`` of the center radius then the petal
+    radii, which checks them."""
+    from . import geometry
+
     try:
         radii = [parse_rational(v) for v in args.radii]
         return geometry.FlowerConfig(radii[0], tuple(radii[1:]))
@@ -211,6 +228,8 @@ def _flower_config(args) -> geometry.FlowerConfig:
 
 
 def _cmd_flower_check(args, stdout, stderr) -> int:
+    from . import geometry
+
     config = _flower_config(args)
     try:
         report = geometry.validate_flower(config)
@@ -225,6 +244,8 @@ def _cmd_flower_check(args, stdout, stderr) -> int:
 
 
 def _cmd_flower_render(args, stdout, stderr) -> int:
+    from . import geometry
+
     config = _flower_config(args)
     try:
         placements = geometry.layout(config)
@@ -239,6 +260,8 @@ def _cmd_flower_render(args, stdout, stderr) -> int:
 
 
 def _cmd_discrepancy(args, stdout, stderr) -> int:
+    from . import discrepancy
+
     payload = {
         "radius_example": discrepancy.radius_example_report(),
         "radius_expansion": discrepancy.radius_expansion_report(),

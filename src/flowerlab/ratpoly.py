@@ -78,6 +78,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Coeff) -> str:
     """Canonical string for a rational: ``p`` when integral, else ``p/q``."""
+    if type(value) is int:  # a bool or float still goes through Fraction
+        return str(value)
     return str(Fraction(value))
 
 

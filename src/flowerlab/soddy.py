@@ -705,22 +705,37 @@ class ScanResult(Record):
         """``json.dumps(self.to_obj(), indent=2)`` in chunks, one per record.
 
         A record's fixed shape becomes one template with a ``%s`` slot per
-        scalar; json's C encoder writes the scalars of each record at once."""
+        scalar; json's C encoder writes the scalars of a batch of
+        ``_SCAN_JSON_BATCH`` records at once, and each record's template is
+        filled from its run of the batch's scalars."""
         head = json.dumps({"bound": self.bound, "summary": dict(self.summary)}, indent=2)
         # head[:-2] drops the closing "\n}", so more keys can follow.
         yield head[:-2] + ',\n  "records": ['
-        names = [f.name for f in fields(ScanRecord)]
-        values_of = attrgetter(*names)
-        template = None
-        for i, rec in enumerate(self.records):
-            values = values_of(rec)
-            if template is None:
-                slots = {k: ["%s"] * len(v) if type(v) is tuple else "%s"
-                         for k, v in zip(names, values)}
-                template = "\n    " + nested_json(slots, 2).replace('"%s"', "%s")
-            leaves = [x for v in values for x in (v if type(v) is tuple else (v,))]
-            yield ("," if i else "") + template % tuple(json.dumps(leaves)[1:-1].split(", "))
-        yield ("\n  ]" if self.records else "]") + "\n}"
+        records = self.records
+        if records:
+            names = [f.name for f in fields(ScanRecord)]
+            values_of = attrgetter(*names)
+            slots = {k: ["%s"] * len(v) if type(v) is tuple else "%s"
+                     for k, v in zip(names, values_of(records[0]))}
+            template = "\n    " + nested_json(slots, 2).replace('"%s"', "%s")
+            width = template.count("%s")
+            for start in range(0, len(records), _SCAN_JSON_BATCH):
+                batch = records[start:start + _SCAN_JSON_BATCH]
+                text = json.dumps([values_of(rec) for rec in batch])
+                # Every scalar is an int, bool or None, so without the brackets
+                # of the batch, its records and their tuple fields the text is
+                # the batch's scalars in order.
+                leaves = text.replace("[", "").replace("]", "").split(", ")
+                for i in range(0, len(leaves), width):
+                    yield ("," if start or i else "") + template % tuple(leaves[i:i + width])
+        yield ("\n  ]" if records else "]") + "\n}"
+
+
+# Records per ``json.dumps`` call in ``ScanResult.json_chunks``.  Writing the
+# bound-12 scan takes as long at 64 as at 1,024 records (30 ms on 2 vCPUs),
+# but a batch's text and scalars at 1,024 add 1.75 MB to the heap peak and
+# at 128 only 0.23 MB.
+_SCAN_JSON_BATCH = 128
 
 
 # Largest accepted bound of ``scan_lattice``, which visits bound^4 tuples: at
