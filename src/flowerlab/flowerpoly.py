@@ -4,9 +4,11 @@ For an n-petal flower (center coin tangent to a cycle of n petal coins) the
 cosines x_i of the n center angles satisfy a single polynomial relation.
 This module builds that polynomial three ways:
 
-* ``flower_poly(n)``           norm-form recursion P^2 - Q^2*D from P_{n-1}
-                               in plain polynomial arithmetic (the cheap
-                               route, used everywhere else in the package);
+* ``flower_poly(n)``           norm-form recursion: P_{n-1} at
+                               w = cos(t_{n-1}+t_n) times its conjugate,
+                               multiplied head group by head group in plain
+                               polynomial arithmetic (the cheap route, used
+                               everywhere else in the package);
 * ``flower_poly_from_product`` product of (x_n - sigma(cos expansion)) over
                                the sign group on the first n-1 variables;
 * ``closure_product_poly(n)``  the full product of (sigma(cos expansion)-1)
@@ -62,7 +64,18 @@ from .mixedring import (
     poly_at_mixed,
     sign_norm,
 )
-from .ratpoly import Coeff, Exponents, Record, SparsePoly, norm_form, poly_json_chunks
+from .ratpoly import (
+    Coeff,
+    Record,
+    SparsePoly,
+    _mul_into,
+    _pack_terms,
+    _square_into,
+    _unpack_terms,
+    pack_exponents,
+    pack_width,
+    poly_json_chunks,
+)
 
 # P_7 did not finish in over 14 minutes and 600 MB, so the ceiling refuses it.
 MAX_N = 6
@@ -93,27 +106,50 @@ def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
     """prev(x_1..x_{n-2}, w) times its conjugate, where w = cos(t_{n-1}+t_n).
 
     With c = x_{n-1}*x_n, s = y_{n-1}*y_n and D = s^2 = (1-x_{n-1}^2)(1-x_n^2),
-    the powers w^k = (c - s)^k = P_k + Q_k*s follow P_{k+1} = c*P_k - D*Q_k
-    and Q_{k+1} = c*Q_k - P_k.  So prev at w is a = P + Q*s, the sign
-    generator that negates s maps it to P - Q*s, and the product of the two
-    is the norm P^2 - Q^2*D: plain polynomial arithmetic, no sine variables.
+    w = u = c - s and its conjugate (the sign generator that negates s) is
+    v = c + s.  Their product is e = uv = x_{n-1}^2 + x_n^2 - 1, and
+    u^j + v^j = 2*P_j, where u^j = P_j + Q_j*s follows P_{j+1} = c*P_j - D*Q_j
+    and Q_{j+1} = c*Q_j - P_j.  So with prev = sum_k g_k*w^k,
+
+        prev(u)*prev(v) = sum_k g_k^2*e^k + 2*sum_{k<l} g_k*g_l*e^k*P_{l-k}:
+
+    plain polynomial arithmetic, no sine variables.  Each pair of head
+    groups g_k, g_l (polynomials in x_1..x_{n-2}) is multiplied once, and
+    its product once by its factor e^k*P_{l-k}, a small polynomial in
+    x_{n-1}, x_n.  Head keys are packed above the two low fields, so adding
+    a packed factor key to a head key gives the packed key of the term.
     """
     last = prev.nvars - 1
-    groups: dict[int, dict[Exponents, Coeff]] = {}
+    bits = pack_width(2 * prev._max_exponent())
+    groups: dict[int, list[tuple[int, Coeff]]] = {}
     for exps, coeff in prev.items():
-        groups.setdefault(exps[last], {})[exps[:last] + (0, 0)] = coeff
-    xa, xb = SparsePoly.variable(n, n - 2), SparsePoly.variable(n, n - 1)
+        groups.setdefault(exps[last], []).append(
+            (pack_exponents(exps[:last], bits) << 2 * bits, coeff))
+    xa, xb = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     c = xa * xb
     d = (1 - xa * xa) * (1 - xb * xb)
-    p = q = SparsePoly.zero(n)
-    pk, qk = SparsePoly.one(n), SparsePoly.zero(n)
-    for k in range(max(groups) + 1):
-        if k:
-            pk, qk = c * pk - d * qk, c * qk - pk
-        if k in groups:
-            g = SparsePoly(n, groups[k])
-            p, q = p + g * pk, q + g * qk
-    return norm_form(p, q, d)
+    e = xa * xa + xb * xb - 1
+    one = SparsePoly.one(2)
+    p_j, q_j, e_pow = [one], SparsePoly.zero(2), [one]
+    for _ in range(max(groups, default=0)):
+        p_j, q_j = p_j + [c * p_j[-1] - d * q_j], c * q_j - p_j[-1]
+        e_pow.append(e_pow[-1] * e)
+    acc: dict[int, Coeff] = {}
+    for k, gk in groups.items():
+        for l, gl in groups.items():
+            if l < k:
+                continue
+            head: dict[int, Coeff] = {}
+            if l == k:
+                _square_into(head, gk)
+                factor = e_pow[k]
+            else:
+                _mul_into(head, gk, gl)
+                factor = 2 * e_pow[k] * p_j[l - k]
+            # The few factor terms go outermost, so each inner loop runs
+            # over the long head product.
+            _mul_into(acc, _pack_terms(factor, bits), head.items())
+    return _unpack_terms(acc, n, bits)
 
 
 def flower_poly(n: int) -> SparsePoly:

@@ -11,7 +11,17 @@ from mpmath import mp
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import ANGLE_SUM_TOL, DPS, FlowerConfig
 from flowerlab.mixedring import MixedElement, _sign_flips
-from flowerlab.ratpoly import SparsePoly, parse_rational, poly_to_obj
+from flowerlab.ratpoly import (
+    Coeff,
+    SparsePoly,
+    _mul_into,
+    _pack_terms,
+    _square_into,
+    _unpack_terms,
+    pack_width,
+    parse_rational,
+    poly_to_obj,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,3 +245,22 @@ def brute_force_triples_by_x(beta: int, z_bound: int) -> set[tuple[int, int, int
             if gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1:
                 out.add((x, y, z))
     return out
+
+
+# ``flowerpoly``'s norm step squared the whole P and Q with this before it
+# multiplied head groups; kept verbatim as the oracle of that route.
+def norm_form(p: SparsePoly, q: SparsePoly, d: SparsePoly) -> SparsePoly:
+    """p^2 - q^2*d, the norm of p + q*sqrt(d).
+
+    Both products are accumulated in one packed map and unpacked once, so
+    neither p^2 nor q^2*d is ever built as a polynomial.
+    """
+    p._check_arity(q)
+    p._check_arity(d)
+    bits = pack_width(max(2 * p._max_exponent(), 2 * q._max_exponent() + d._max_exponent()))
+    q2: dict[int, Coeff] = {}
+    _square_into(q2, _pack_terms(q, bits))
+    acc: dict[int, Coeff] = {}
+    _square_into(acc, _pack_terms(p, bits))
+    _mul_into(acc, [(k, c) for k, c in q2.items() if c], _pack_terms(-d, bits))
+    return _unpack_terms(acc, p.nvars, bits)

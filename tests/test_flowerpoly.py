@@ -7,6 +7,8 @@ from importlib import resources
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowerlab import flowerpoly, geometry, mixedring
 from flowerlab.flowerpoly import (
@@ -27,7 +29,7 @@ from flowerlab.flowerpoly import (
 )
 from flowerlab.mixedring import MixedElement, apply_sign, cos_sin_over_slots
 from flowerlab.ratpoly import SparsePoly
-from oracles import compact_json, float_residual, random_flower_angles
+from oracles import compact_json, float_residual, norm_form, random_flower_angles
 
 P1 = SparsePoly(1, {(1,): 1, (0,): -1})
 P2 = SparsePoly(2, {(0, 1): 1, (1, 0): -1})
@@ -170,6 +172,60 @@ def test_norm_form_matches_mixed_ring_step():
     for n in range(3, 7):
         ref = mixed_ring_step(ref, n)
         assert ref == flower_poly(n)
+
+
+def squared_route_step(prev: SparsePoly, n: int) -> SparsePoly:
+    """The norm step as it was before it multiplied head groups: the whole
+    P and Q of prev at w = c - s from the c/D recurrence, then the norm
+    P^2 - Q^2*D by ``oracles.norm_form``."""
+    last = prev.nvars - 1
+    groups: dict = {}
+    for exps, coeff in prev.items():
+        groups.setdefault(exps[last], {})[exps[:last] + (0, 0)] = coeff
+    xa, xb = SparsePoly.variable(n, n - 2), SparsePoly.variable(n, n - 1)
+    c = xa * xb
+    d = (1 - xa * xa) * (1 - xb * xb)
+    p = q = SparsePoly.zero(n)
+    pk, qk = SparsePoly.one(n), SparsePoly.zero(n)
+    for k in range(max(groups) + 1):
+        if k:
+            pk, qk = c * pk - d * qk, c * qk - pk
+        if k in groups:
+            g = SparsePoly(n, groups[k])
+            p, q = p + g * pk, q + g * qk
+    return norm_form(p, q, d)
+
+
+STEP_COEFFS = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+)
+# The w-degrees a prev may use; the first and the last are always present,
+# so (0, 1, 4) leaves the middle groups g_2 and g_3 empty.
+W_DEGREES = {"any": (0, 1, 2, 3, 4), "constant-in-w": (0,), "missing-middle-group": (0, 1, 4)}
+
+
+@st.composite
+def step_inputs(draw, degrees):
+    nvars = draw(st.integers(2, 4))
+    heads = st.tuples(*[st.integers(0, 3)] * (nvars - 1))
+    terms = draw(st.dictionaries(st.tuples(heads, st.sampled_from(degrees)), STEP_COEFFS,
+                                 min_size=1, max_size=8))
+    for k in (degrees[0], degrees[-1]):
+        terms[(draw(heads), k)] = draw(STEP_COEFFS)
+    return SparsePoly(nvars, {head + (k,): c for (head, k), c in terms.items()})
+
+
+@pytest.mark.parametrize("shape", W_DEGREES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_norm_step_matches_the_squared_route_on_any_prev(shape, data):
+    prev = data.draw(step_inputs(W_DEGREES[shape]))
+    n = prev.nvars + 1
+    got = flowerpoly._norm_form_step(prev, n)
+    assert got == squared_route_step(prev, n)
+    assert got.nvars == n
+    assert all(type(c) is int or c.denominator > 1 for _, c in got.items())
 
 
 def test_square_identity():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowerlab.mixedring import MixedElement
-from flowerlab.ratpoly import SparsePoly, norm_form
+from flowerlab.ratpoly import SparsePoly
+from oracles import norm_form
 
 # Small exponents plus values on either side of a packing width boundary.
 EXPONENTS = st.one_of(

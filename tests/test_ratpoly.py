@@ -222,6 +222,11 @@ def test_serialization_order_is_graded_lex_descending():
     assert exps == [(1, 1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 0, 0)]
     keyed = [(sum(e), e) for e in exps]
     assert keyed == sorted(keyed, reverse=True)
+    rng = random.Random(46)
+    for _ in range(200):
+        f = random_poly(rng, rng.choice((0, 1, 2, 3, 4)))
+        want = sorted(f.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        assert f.sorted_terms() == want
 
 
 def test_pretty_matches_reference_style():

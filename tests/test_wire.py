@@ -111,6 +111,11 @@ CLI_GOLDEN = [
      "e993551d76e14a3a14158b275a4a30667b073423f2b092ee7ba73aedc75e9967"),
     (["pn", "--n", "6", "--route", "product"], 0,
      "6c1aecced2dd10d7b7f6f28186efddefc14c1840ca81e035797052c8a1539d92"),
+    # The recursion route at its largest size, in both formats.
+    (["pn", "--n", "6"], 0,
+     "9f640ed096bfcdc35ca99b690555ef88cb209a94c18e7dd65adbdbe1da6172b7"),
+    (["pn", "--n", "6", "--format", "text"], 0,
+     "730da1c43545bf741528ad0985079d75a653c03f733a20c8f7e5372568da1513"),
 ]
 
 
