@@ -209,9 +209,9 @@ def flower_poly_from_product(n: int) -> SparsePoly:
     product over the blocks (n-1, 1).
 
     Independent of the recursion route, and bounded like it by ``MAX_N``:
-    the norm tower never builds the 2^(n-2) factors one by one, and each
-    of its steps f <- f * g(f) is the norm step ``sign_norm``, which skips
-    the pairs of a term g negates and a term g fixes (they cancel).
+    the norm tower ``sign_norm`` never builds the 2^(n-2) factors one by
+    one, and each of its steps f <- f * g(f) skips the pairs of a term g
+    negates and a term g fixes (they cancel).
     """
     _check_n(n, 2, MAX_N, "flower_poly_from_product")
     return block_product(n, (n - 1, 1))
@@ -242,10 +242,15 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
     so generators outside block j fix it and each factor is sigma(f) with
     f = P_k(c_1, ..., c_k).  The generators are commuting involutions, so
     f <- f * g(f) once for each generator g inside the blocks multiplies
-    sigma(f) over the whole group.  Each step is the norm step
-    ``sign_norm``: with f = A + B, B the terms g negates, a term a of A and
-    a term b of B meet in f * g(f) once as a*(-b) and once as b*a, so those
-    pairs cancel and f * g(f) = A^2 - B^2.
+    sigma(f) over the whole group.  The whole tower is one ``sign_norm``
+    call: with f = A + B, B the terms g negates, a term a of A and a term b
+    of B meet in f * g(f) once as a*(-b) and once as b*a, so those pairs
+    cancel and each step is A^2 - B^2.  It runs on packed keys from the
+    first step to the last, at one width fixed up front: a step at most
+    doubles, per slot, the x exponent plus sine bit, so with D the largest
+    of these in f = P_k(c_1, ..., c_k) (1 for the closure product, 2 for
+    the blocks (2, 2, 2)), D * 2^(number of generators) bounds every
+    exponent; at n = 6 that is 16, P_6's degree, in 5 bits a slot.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -261,9 +266,7 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
         generators.extend(range(offset, offset + size - 1))
         offset += size
     f = poly_at_mixed(flower_poly(len(composition)), block_cos)
-    for g in generators:
-        f = sign_norm(1 << g, f)
-    return f.to_poly()
+    return sign_norm([1 << g for g in generators], f).to_poly()
 
 
 # -- structural checks ---------------------------------------------------------

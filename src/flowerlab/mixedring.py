@@ -30,13 +30,17 @@ polynomial arithmetic.  The module provides
 
 Multiplication keeps no kernel of its own: each operand's terms are grouped
 by y mask, the blocks are multiplied on packed x exponents with
-``ratpoly``'s kernel, and the products that share sines are multiplied by
-their y_i^2 = 1 - x_i^2 factor once per group.  The norm step of the
-towers, ``sign_norm(gens, f)`` = f * apply_sign(gens, f), runs the same
-reduction on fewer block products: with f = A + B, B the terms ``gens``
-negates, it is A^2 - B^2, since a term of A and a term of B meet twice with
-opposite signs and cancel.  Each side is squared, every pair of its
-terms multiplied once, and no pair across the sides is multiplied at all.
+``ratpoly``'s kernel, the products that share sines are multiplied by
+their y_i^2 = 1 - x_i^2 factor once per group, and the result is unpacked
+in one batched pass.  The norm towers, ``sign_norm(gens, f)``, take
+f <- f * apply_sign(g, f) for each sign mask g of ``gens`` and run the same
+reduction on fewer block products: with f = A + B, B the terms g negates,
+a step is A^2 - B^2, since a term of A and a term of B meet twice with
+opposite signs and cancel.  Each side is squared, every pair of its terms
+multiplied once, and no pair across the sides is multiplied at all.  The
+tower stays packed from its first step to its last, at one pack width
+fixed up front: the largest x exponent plus sine bit in a slot of f, times
+2^len(gens), bounds every exponent it forms.
 
 Like the pure polynomials, elements are immutable and all operations pure.
 """
@@ -44,6 +48,7 @@ Like the pure polynomials, elements are immutable and all operations pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .ratpoly import (
@@ -52,12 +57,12 @@ from .ratpoly import (
     SparsePoly,
     TermMap,
     _mul_into,
+    _normalized,
     _square_into,
+    _unpack_keys,
     format_terms,
-    normalize_coeff,
     pack_exponents,
     pack_width,
-    unpack_exponents,
 )
 
 MixedKey = tuple[Exponents, int]  # (x exponents, y-support bitmask)
@@ -106,7 +111,7 @@ class MixedElement(TermMap):
                 ys = "*".join(f"y{i + 1}" for i in range(self.nvars) if ybits >> i & 1)
                 raise ValueError(f"residual sine factor {ys} in element; not a pure polynomial")
             out[exps] = coeff
-        return SparsePoly(self.nvars, out)
+        return SparsePoly._raw(self.nvars, out)
 
     def pretty(self) -> str:
         """Plain-text form, terms by descending (degree, x exponents, y mask)."""
@@ -137,49 +142,68 @@ class MixedElement(TermMap):
             for sb, block_b in b.items():
                 by_common = groups.setdefault(sa ^ sb, {})
                 _mul_into(by_common.setdefault(sa & sb, {}), block_a, block_b)
-        return _reduce_groups(self.nvars, bits, groups)
+        return _unpack_accs(self.nvars, bits, _reduce_groups(self.nvars, bits, groups))
 
     def _max_exponent(self) -> int:
         return max((max(e) for e, _ in self._terms), default=0)
 
-    def _blocks(self, bits: int) -> dict[int, list[tuple[int, Coeff]]]:
+    def _blocks(self, bits: int) -> _Blocks:
         """The terms grouped by y mask, with packed x exponents."""
-        blocks: dict[int, list[tuple[int, Coeff]]] = {}
+        blocks: _Blocks = {}
         for (e, ybits), c in self._terms.items():
             blocks.setdefault(ybits, []).append((pack_exponents(e, bits), c))
         return blocks
 
 
+# Packed blocks: y mask -> [(packed x exponents, nonzero coefficient)].
+_Blocks = dict[int, list[tuple[int, Coeff]]]
+# Packed accumulators: y mask -> packed x exponents -> coefficient, with
+# the cancelled terms still in.
+_Accs = dict[int, dict[int, Coeff]]
 # Block products before the sine squares are applied: y mask -> common
 # sines -> packed x exponents -> coefficient.
-_Groups = dict[int, dict[int, dict[int, Coeff]]]
+_Groups = dict[int, _Accs]
 
 
-def _reduce_groups(nvars: int, bits: int, groups: _Groups) -> MixedElement:
-    """The element sum_{mask, common} y^mask * prod_{i in common} (1 - x_i^2)
-    * groups[mask][common]: each group is multiplied by its sine squares
-    once.  Consumes ``groups``."""
-    factors = {m: _sine_squares(nvars, bits, m) for g in groups.values() for m in g if m}
-    out: dict[MixedKey, Coeff] = {}
+def _reduce_groups(nvars: int, bits: int, groups: _Groups) -> _Accs:
+    """The packed accumulators of sum_{mask, common} y^mask *
+    prod_{i in common} (1 - x_i^2) * groups[mask][common]: each group is
+    multiplied by its sine squares once.  Consumes ``groups``."""
+    accs: _Accs = {}
     for mask, by_common in groups.items():
-        acc = by_common.pop(0, {})
+        acc = accs[mask] = by_common.pop(0, {})
         for common, group in by_common.items():
-            _mul_into(acc, group.items(), factors[common])
-        for k, c in acc.items():
-            if c:
-                out[(unpack_exponents(k, nvars, bits), mask)] = normalize_coeff(c)
-    return MixedElement._raw(nvars, out)
+            # The few factor terms go outermost, so each inner loop runs
+            # over the long group.
+            _mul_into(acc, _sine_squares(nvars, bits, common), group.items())
+    return accs
 
 
-def _sine_squares(nvars: int, bits: int, mask: int) -> list[tuple[int, int]]:
-    """Packed terms of prod_{i in mask} (1 - x_i^2), the product of the
-    squares y_i^2 of the sines in ``mask``."""
-    terms = [(0, 1)]
+def _sine_squares(nvars: int, bits: int, mask: int, sign: int = 1) -> list[tuple[int, int]]:
+    """Packed terms of sign * prod_{i in mask} (1 - x_i^2), the product of
+    the squares y_i^2 of the sines in ``mask``."""
+    terms = [(0, sign)]
     for i in range(nvars):
         if mask >> i & 1:
             x2 = 2 << (nvars - 1 - i) * bits
             terms += [(k + x2, -c) for k, c in terms]
     return terms
+
+
+def _unpack_accs(nvars: int, bits: int, accs: _Accs) -> MixedElement:
+    """The element of packed accumulators, dropping cancelled terms, with
+    every x key unpacked in one batched pass (``ratpoly``'s field-at-a-time
+    unpack)."""
+    keys: list[int] = []
+    masks: list[int] = []
+    coeffs: list[Coeff] = []
+    for mask, acc in accs.items():
+        ks = [k for k, c in acc.items() if c]
+        keys += ks
+        coeffs += map(acc.__getitem__, ks)
+        masks += repeat(mask, len(ks))
+    exps = _unpack_keys(keys, nvars, bits)
+    return MixedElement._raw(nvars, dict(zip(zip(exps, masks), _normalized(coeffs))))
 
 
 # -- sign automorphisms --------------------------------------------------------
@@ -215,31 +239,56 @@ def apply_sign(gens: int, element: MixedElement) -> MixedElement:
     })
 
 
-def sign_norm(gens: int, element: MixedElement) -> MixedElement:
-    """``element * apply_sign(gens, element)``, without building the conjugate.
+def sign_norm(gens: Sequence[int], element: MixedElement) -> MixedElement:
+    """The norm tower: f <- f * apply_sign(g, f) for each sign mask g of
+    ``gens`` in turn, from f = ``element``, on packed keys throughout.
 
-    Split the element as A + B, where B holds the terms ``gens`` negates.
-    A term a of A and a term b of B meet twice in the product, once as
-    c_a*t_a * (-c_b*t_b) and once as c_b*t_b * c_a*t_a, and cancel, so the
-    product is A^2 - B^2: each y-mask block is squared, each pair of blocks
-    on the same side is multiplied once with doubled coefficients, and the
-    groups are reduced as in ``MixedElement.__mul__``.
+    The element is packed once into y-mask blocks, every step maps packed
+    accumulators to packed accumulators, and the result is unpacked once.
+    A step never builds the conjugate: split f as A + B, where B holds the
+    terms g negates.  A term a of A and a term b of B meet twice in the
+    product, once as c_a*t_a * (-c_b*t_b) and once as c_b*t_b * c_a*t_a,
+    and cancel, so the product is A^2 - B^2: each y-mask block is squared,
+    each pair of blocks on the same side is multiplied once with doubled
+    coefficients, and the groups are reduced as in ``MixedElement.__mul__``.
+
+    The pack width is fixed up front.  In each slot, a product of two terms
+    has x exponent plus sine bit at most the sum of its factors' (a shared
+    sine becomes the x_i^2 of 1 - x_i^2), so a step at most doubles the
+    largest such degree D over the terms of f, and D * 2^len(gens) bounds
+    every exponent the tower forms.
     """
     nvars = element.nvars
-    flips = _sign_flips(gens, nvars)
-    bits = pack_width(2 * element._max_exponent() + 2)
+    all_flips = [_sign_flips(g, nvars) for g in gens]
+    top = max((e[i] + (ybits >> i & 1) for e, ybits in element._terms for i in range(nvars)),
+              default=0)
+    bits = pack_width(top << len(all_flips))
+    accs = {mask: dict(block) for mask, block in element._blocks(bits).items()}
+    for flips in all_flips:
+        accs = _norm_step(nvars, bits, flips, accs)
+    return _unpack_accs(nvars, bits, accs)
+
+
+def _norm_step(nvars: int, bits: int, flips: int, accs: _Accs) -> _Accs:
+    """One step of ``sign_norm`` on packed accumulators, for the sign
+    automorphism whose ``_sign_flips`` mask is ``flips``."""
     sides: tuple[list, list] = ([], [])
-    for mask, block in element._blocks(bits).items():
-        sides[(mask & flips).bit_count() & 1].append((mask, block))
-    # A block squares to y mask 0 with its own mask as common sines, which
-    # no product of two different blocks reaches.
-    squares: dict[int, dict[int, Coeff]] = {}
-    groups: _Groups = {0: squares}
+    for mask, acc in accs.items():
+        block = [(k, c) for k, c in acc.items() if c]
+        if block:
+            sides[(mask & flips).bit_count() & 1].append((mask, block))
+    # A block squares to y mask 0 times its own sine squares, which go on
+    # at once; a product of two different blocks keeps a sine.
+    unmixed: dict[int, Coeff] = {}
+    groups: _Groups = {0: {0: unmixed}}
     for sign, side in zip((1, -1), sides):
         for i, (sa, block_a) in enumerate(side):
-            square: dict[int, Coeff] = {}
-            _square_into(square, block_a)
-            squares[sa] = square if sign > 0 else {k: -c for k, c in square.items()}
+            if sa:
+                square: dict[int, Coeff] = {}
+                _square_into(square, block_a)
+                _mul_into(unmixed, _sine_squares(nvars, bits, sa, sign), square.items())
+            else:  # the sine-free block, on the fixed side
+                _square_into(unmixed, block_a)
             doubled = [(k, 2 * sign * c) for k, c in block_a]
             for sb, block_b in side[i + 1 :]:
                 by_common = groups.setdefault(sa ^ sb, {})
@@ -345,8 +394,8 @@ def point_cos_sin(points: Sequence[Fraction]) -> tuple[dict[int, int], dict[int,
 def point_norm(gens: int, nvars: int, element: dict[int, int],
                squares: Sequence[int]) -> dict[int, int]:
     """``element`` times its image under the sign automorphism ``gens`` over
-    ``nvars`` slots, as ``sign_norm``: A^2 - B^2 with B the terms ``gens``
-    negates.  Terms with masks ma and mb multiply to mask ma ^ mb times
+    ``nvars`` slots, as a step of ``sign_norm``: A^2 - B^2 with B the terms
+    ``gens`` negates.  Terms with masks ma and mb multiply to mask ma ^ mb times
     ``squares[ma & mb]`` (``point_squares``)."""
     flips = _sign_flips(gens, nvars)
     sides: tuple[list, list] = ([], [])

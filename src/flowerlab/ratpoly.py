@@ -479,28 +479,32 @@ def pack_exponents(exps: Exponents, bits: int) -> int:
     return key
 
 
-def unpack_exponents(key: int, nvars: int, bits: int) -> Exponents:
-    mask = (1 << bits) - 1
-    return tuple([key >> shift & mask for shift in range((nvars - 1) * bits, -1, -bits)])
-
-
 def _pack_terms(poly: SparsePoly, bits: int) -> list[tuple[int, Coeff]]:
     return [(pack_exponents(e, bits), c) for e, c in poly._terms.items()]
 
 
-def _unpack_terms(acc: dict[int, Coeff], nvars: int, bits: int) -> SparsePoly:
-    """The polynomial of a packed accumulator, dropping cancelled terms.
+def _unpack_keys(keys: list[int], nvars: int, bits: int) -> Iterator[Exponents]:
+    """The exponent tuples of packed keys, in order.
 
     Unpacked a field at a time: one lazy ``map`` per variable reads its
     exponent off every key, and zipping the maps gives the exponent tuples,
     in half the time of unpacking key by key and with no list per field."""
     mask = (1 << bits) - 1
-    keys = [k for k, c in acc.items() if c]
     fields = [map(and_, map(rshift, keys, repeat(shift)), repeat(mask))
               for shift in range((nvars - 1) * bits, -1, -bits)]
-    exps = zip(*fields) if nvars else repeat((), len(keys))
-    coeffs = [c if type(c) is int else normalize_coeff(c) for c in map(acc.__getitem__, keys)]
-    return SparsePoly._raw(nvars, dict(zip(exps, coeffs)))
+    return zip(*fields) if nvars else repeat((), len(keys))
+
+
+def _normalized(coeffs: Iterable[Coeff]) -> list[Coeff]:
+    """Accumulated coefficients with integral Fractions collapsed to int."""
+    return [c if type(c) is int else normalize_coeff(c) for c in coeffs]
+
+
+def _unpack_terms(acc: dict[int, Coeff], nvars: int, bits: int) -> SparsePoly:
+    """The polynomial of a packed accumulator, dropping cancelled terms."""
+    keys = [k for k, c in acc.items() if c]
+    coeffs = _normalized(map(acc.__getitem__, keys))
+    return SparsePoly._raw(nvars, dict(zip(_unpack_keys(keys, nvars, bits), coeffs)))
 
 
 def _mul_into(acc: dict[int, Coeff], a: list[tuple[int, Coeff]],

@@ -380,7 +380,8 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
     three pairwise equations re-verified with denominators cleared, and an
     exact sign per radius; ``QuadraticValue`` only packages the results.  A
     valid flower needs positive radii, all three equations and the angle-sum
-    branch check.
+    branch check: the float angle sum within ``ANGLE_SUM_TOL`` of 2*pi and
+    every cosine negative, as in every genuine three-petal flower.
     """
     cosines, parts = _cosine_parts(cosines)
     abc, angles = [], []
@@ -401,7 +402,11 @@ def solve_radii(cosines: CosTriple | Sequence) -> SolveReport:
         sum_residual = fast
     else:
         sum_residual = angle_sum_residual(cosines.as_tuple())
-    angle_ok = sum_residual <= ANGLE_SUM_TOL
+    # Three rays from a point satisfy one of theta_a = theta_b + theta_c or
+    # sum theta = 2*pi; with every angle in (90, 180) degrees only the sum
+    # can hold, so the range decides the branch where the float sum cannot.
+    # A cosine p/q is negative exactly when a = q - p exceeds b = q + p.
+    angle_ok = sum_residual <= ANGLE_SUM_TOL and a1 > b1 and a2 > b2 and a3 > b3
 
     disc: Optional[Fraction] = None
     disc_square: Optional[bool] = None
@@ -588,8 +593,9 @@ class GrahamRecord(Record):
 
 
 # Largest accepted bound of ``graham_quadruples``: the cost grows as the
-# cube of the bound (a fresh ``graham`` process took 0.4 s at 400, and
-# 4.2-4.5 s and 8.2 MB of JSON lines at 1000, on 2 vCPU AMD EPYC).
+# cube of the bound (17.5 M candidate x at 1000; a fresh ``graham`` process
+# took 0.25 s at 400, and 1.6-1.8 s and 8.2 MB of JSON lines at 1000, on
+# 2 vCPU AMD EPYC).
 MAX_GRAHAM_BOUND = 1000
 
 
@@ -604,12 +610,14 @@ def graham_quadruples(d2_bound: int) -> list[GrahamRecord]:
     for d2 in range(1, d2_bound + 1):
         for d1 in range(0, d2 + 1):
             prod = d1 * d2
-            for m in range(0, d1 // 2 + 1):
-                t = prod - m * m  # >= d1*d2 - d1^2/4 >= 0
-                x = isqrt(t)
-                if x * x != t:
-                    continue
-                out.append(GrahamRecord(x, m, d1, d2))
+            # m <= d1//2 exactly when x^2 >= least; x walks down, so m walks
+            # up, over the few x near sqrt(d1*d2) instead of every m.
+            least = prod - (d1 // 2) ** 2  # >= d1*d2 - d1^2/4 >= 0
+            for x in range(isqrt(prod), isqrt(least - 1) if least else -1, -1):
+                t = prod - x * x
+                m = isqrt(t)
+                if m * m == t:
+                    out.append(GrahamRecord(x, m, d1, d2))
     return out
 
 

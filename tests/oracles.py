@@ -22,6 +22,7 @@ from flowerlab.ratpoly import (
     parse_rational,
     poly_to_obj,
 )
+from flowerlab.soddy import GrahamRecord
 
 TWO_PI = 2.0 * math.pi
 
@@ -264,3 +265,20 @@ def norm_form(p: SparsePoly, q: SparsePoly, d: SparsePoly) -> SparsePoly:
     _square_into(acc, _pack_terms(p, bits))
     _mul_into(acc, [(k, c) for k, c in q2.items() if c], _pack_terms(-d, bits))
     return _unpack_terms(acc, p.nvars, bits)
+
+
+# ``soddy.graham_quadruples`` walked m before it walked x down from
+# sqrt(d1*d2); kept verbatim, without its argument gate, as the oracle of
+# that route.
+def graham_quadruples_by_m(d2_bound: int) -> list[GrahamRecord]:
+    out: list[GrahamRecord] = []
+    for d2 in range(1, d2_bound + 1):
+        for d1 in range(0, d2 + 1):
+            prod = d1 * d2
+            for m in range(0, d1 // 2 + 1):
+                t = prod - m * m  # >= d1*d2 - d1^2/4 >= 0
+                x = isqrt(t)
+                if x * x != t:
+                    continue
+                out.append(GrahamRecord(x, m, d1, d2))
+    return out

@@ -136,6 +136,20 @@ def test_soddy_gen_reference_params():
     assert obj["sines"] == ["4/5", "40/41", "156/205"]
 
 
+def test_soddy_gen_refuses_a_triple_on_the_wrong_branch():
+    # Two cosines are just positive, so their angles are just under 90
+    # degrees and the third is their sum: the angle sum misses 2*pi by
+    # 4e-10, inside the float tolerance, but no flower closes.
+    code, out, _ = call(["soddy-gen", "--params", "10000000001", "10000000000",
+                         "10000000001", "10000000000"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["solve"]["angle_sum_residual"] < 1e-9
+    assert obj["solve"]["angle_sum_ok"] is False
+    assert obj["solve"]["valid_flowers"] == []
+    assert obj["integer_scaled"] is None
+
+
 def test_soddy_gen_solvable_params():
     code, out, _ = call(["soddy-gen", "--params", "1", "2", "2", "3"])
     obj = json.loads(out)

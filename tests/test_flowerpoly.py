@@ -15,6 +15,7 @@ from flowerlab.flowerpoly import (
     CheckReport,
     FlowerPolySet,
     SizeLimitError,
+    block_product,
     closure_product_poly,
     flower_poly,
     flower_poly_from_product,
@@ -143,6 +144,15 @@ def test_closure_gate():
 def test_product_route_equals_recursion():
     for n in range(2, 7):
         assert flower_poly_from_product(n) == flower_poly(n)
+
+
+@pytest.mark.parametrize("composition", [(5, 1), (2, 2, 2)])
+def test_six_petal_towers_at_the_widest_packing(composition):
+    # Both towers pack with x exponent plus sine bit at most 1 resp. 2 per
+    # slot and 4 resp. 3 generators: a bound of 16, the degree P_6 reaches
+    # in every variable, so 5 bits per slot fill all 30 bits of the key.
+    assert block_product(6, composition) == flower_poly(6)
+    assert all(flower_poly(6).degree_in(i) == 16 for i in range(6))
 
 
 def mixed_ring_step(prev: SparsePoly, n: int) -> SparsePoly:

@@ -113,12 +113,15 @@ def test_sign_mask_validation():
         with pytest.raises(ValueError):
             apply_sign(gens, MixedElement.one(4))
         with pytest.raises(ValueError):
-            sign_norm(gens, MixedElement.one(4))
+            sign_norm([gens], MixedElement.one(4))
         with pytest.raises(ValueError):
             point_norm(gens, 4, {0: 1}, [1] * 16)
     with pytest.raises(ValueError):
         apply_sign(1, MixedElement.one(1))
     assert apply_sign(0, MixedElement.one(1)) == MixedElement.one(1)
+    # Every mask of the tower is checked before its first step.
+    with pytest.raises(ValueError, match="sign mask 8 out of range"):
+        sign_norm([1, 2, 0b1000], MixedElement.one(4))
 
 
 @pytest.mark.parametrize("gens", [True, 1.0])
@@ -128,7 +131,7 @@ def test_sign_maps_refuse_a_mask_that_is_not_an_int(gens):
     with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
         point_sign(gens, 3, {0: 1})
     with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
-        sign_norm(gens, MixedElement.one(3))
+        sign_norm([gens], MixedElement.one(3))
     with pytest.raises(ValueError, match=f"sign mask {gens!r} out of range for 3 variables"):
         point_norm(gens, 3, {0: 1}, [1] * 8)
 
@@ -139,6 +142,10 @@ def test_to_poly_extraction_and_error():
     assert elem.to_poly() == SparsePoly.zero(1)
     with pytest.raises(ValueError, match="residual sine"):
         y(1, 0).to_poly()
+    # Generator 0 fixes 1 + y2, so its norm is (1 + y2)^2, which keeps y2.
+    with pytest.raises(ValueError, match="residual sine factor y2"):
+        sign_norm([1], 1 + y(2, 1)).to_poly()
+    assert sign_norm([1], 1 + y(2, 0)).to_poly() == SparsePoly.variable(2, 0) ** 2
 
 
 def test_closure_product_for_two_angles():
@@ -192,9 +199,9 @@ COEFFS = st.one_of(
 )
 
 
-def elements(n):
+def elements(n, max_size=10):
     keys = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(0, (1 << n) - 1))
-    return st.builds(MixedElement, st.just(n), st.dictionaries(keys, COEFFS, max_size=10))
+    return st.builds(MixedElement, st.just(n), st.dictionaries(keys, COEFFS, max_size=max_size))
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,7 +210,7 @@ def elements(n):
 @example(MixedElement.zero(4))
 def test_sign_norm_is_the_product_with_the_conjugate(f):
     for g in range(1 << (f.nvars - 1)):
-        assert sign_norm(g, f) == f * apply_sign(g, f)
+        assert sign_norm([g], f) == f * apply_sign(g, f)
 
 
 @settings(max_examples=50, deadline=None)
@@ -213,8 +220,28 @@ def test_sign_norm_of_a_fixed_or_a_negated_element(f):
     for g in range(1, 1 << (f.nvars - 1)):
         conjugate = apply_sign(g, f)
         fixed, negated = (f + conjugate) * Fraction(1, 2), (f - conjugate) * Fraction(1, 2)
-        assert sign_norm(g, fixed) == fixed * fixed == fixed * apply_sign(g, fixed)
-        assert sign_norm(g, negated) == -(negated * negated) == negated * apply_sign(g, negated)
+        assert sign_norm([g], fixed) == fixed * fixed == fixed * apply_sign(g, fixed)
+        assert sign_norm([g], negated) == -(negated * negated) == negated * apply_sign(g, negated)
+
+
+def towers(n):
+    # Few terms and steps: the fold multiplies out every step in full.
+    gens = st.lists(st.integers(0, (1 << (n - 1)) - 1), max_size=3)
+    return st.tuples(elements(n, max_size=6), gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(towers))
+@example((MixedElement.zero(3), [1, 2]))
+@example((MixedElement.one(5), []))
+def test_sign_norm_is_the_fold_of_its_steps(case):
+    f, gens = case
+    tower = sign_norm(gens, f)
+    step = fold = f
+    for g in gens:
+        step = sign_norm([g], step)
+        fold = fold * apply_sign(g, fold)
+    assert tower == step == fold
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -222,7 +249,7 @@ def test_sign_norm_of_angle_sums(n):
     ec, es = cos_sin_over_slots(n, range(n))
     for g in range(1 << (n - 1)):
         for f in (ec, es, ec - 1, ec * Fraction(2, 3) + es):
-            assert sign_norm(g, f) == f * apply_sign(g, f)
+            assert sign_norm([g], f) == f * apply_sign(g, f)
 
 
 POINT_CASES = st.integers(1, 5).flatmap(lambda n: st.tuples(

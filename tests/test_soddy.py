@@ -7,7 +7,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowerlab.flowerpoly import flower_poly
@@ -32,7 +32,7 @@ from flowerlab.soddy import (
     tangent_curvatures,
 )
 from flowerlab.soddy import _scan_tuple
-from oracles import Surd, surd_of as surd
+from oracles import Surd, graham_quadruples_by_m, surd_of as surd
 
 F = Fraction
 
@@ -254,6 +254,14 @@ def test_graham_quadruples_satisfy_descartes():
     assert any(set(map(int, r.curvatures.as_tuple())) == {-1, 2, 2, 3} for r in records)
 
 
+def test_graham_walk_over_x_matches_the_walk_over_m():
+    for bound in range(1, 61):
+        assert graham_quadruples(bound) == graham_quadruples_by_m(bound), bound
+    records = graham_quadruples(200)
+    assert records == graham_quadruples_by_m(200)
+    assert len(records) == 3587
+
+
 def test_graham_inverse_examples():
     ratios = graham_inverse(SoddyParams(1, 2, 4, 5))
     assert ratios.m_over_x == F(6, 13)
@@ -369,6 +377,45 @@ def test_valid_solutions_satisfy_descartes():
             assert descartes_check(quad), flower
             seen += 1
     assert seen >= 2
+
+
+ENTRY = st.integers(1, 10**12)
+
+
+def _just_above(m: int, per_mille: int) -> int:
+    return min(10**12, m + 1 + m * per_mille // 1000)
+
+
+# Uniform tuples are rarely flowers; about a third of those with each n_i
+# in (m_i, 3*m_i] are.
+PARAMS = st.one_of(
+    st.tuples(ENTRY, ENTRY, ENTRY, ENTRY),
+    st.builds(lambda m1, k1, m2, k2: (m1, _just_above(m1, k1), m2, _just_above(m2, k2)),
+              ENTRY, st.integers(0, 2000), ENTRY, st.integers(0, 2000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARAMS)
+@example((10000000001, 10000000000, 10000000001, 10000000000))  # the wrong branch
+@example((1, 2, 2, 3))  # a valid flower
+@example((1, 1, 1, 1))  # third cosine -1
+def test_a_tuple_has_a_valid_flower_iff_the_closed_form_holds(params):
+    # The soddy docstring's closed form: constraints 3 and 5, the reversed
+    # fourth, and n1*n2 > m1*m2 (the angle-sum branch).
+    m1, n1, m2, n2 = params
+    cross = m1 * n2 + m2 * n1
+    closed_form = (cross > n1 * n2 and n1 * (m2 * m2 + n2 * n2) > n2 * cross
+                   and n2 * (m1 * m1 + n1 * n1) > n1 * cross and n1 * n2 > m1 * m2)
+    cosines = cosines_from_params(SoddyParams(*params))
+    if m1 * m2 == n1 * n2:  # the third cosine is -1
+        with pytest.raises(ValueError, match="degenerate"):
+            solve_radii(cosines)
+        return
+    flowers = solve_radii(cosines).valid_flowers
+    assert bool(flowers) == closed_form
+    for flower in flowers:
+        assert validate_flower(flower).valid
 
 
 def test_round_trip_from_curvatures():

@@ -74,7 +74,9 @@ def reference_solve(cosines) -> SolveReport:
     fast = abs(math.fsum(math.acos(float(x)) for x in xs) - 2.0 * math.pi)
     tol = ANGLE_SUM_TOL
     sum_residual = fast if fast > 1e3 * tol or fast < 1e-3 * tol else angle_sum_residual(xs)
-    angle_ok = sum_residual <= tol
+    # The branch check also asks every cosine to be negative, as in every
+    # genuine three-petal flower: a gate added to both solvers at once.
+    angle_ok = sum_residual <= tol and all(x < 0 for x in xs)
 
     roots: list[QuadraticValue] = []
     disc: Optional[Fraction] = None
