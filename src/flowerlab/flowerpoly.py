@@ -105,11 +105,11 @@ def _check_ceiling(n: int) -> None:
 def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
     """prev(x_1..x_{n-2}, w) times its conjugate, where w = cos(t_{n-1}+t_n).
 
-    With c = x_{n-1}*x_n, s = y_{n-1}*y_n and D = s^2 = (1-x_{n-1}^2)(1-x_n^2),
-    w = u = c - s and its conjugate (the sign generator that negates s) is
-    v = c + s.  Their product is e = uv = x_{n-1}^2 + x_n^2 - 1, and
-    u^j + v^j = 2*P_j, where u^j = P_j + Q_j*s follows P_{j+1} = c*P_j - D*Q_j
-    and Q_{j+1} = c*Q_j - P_j.  So with prev = sum_k g_k*w^k,
+    With c = x_{n-1}*x_n and s = y_{n-1}*y_n, w = u = c - s and its
+    conjugate (the sign generator that negates s) is v = c + s.  Since
+    u + v = 2c and uv = e = x_{n-1}^2 + x_n^2 - 1, P_j = (u^j + v^j)/2
+    follows P_{j+1} = 2c*P_j - e*P_{j-1} from P_0 = 1 and P_1 = c.  So with
+    prev = sum_k g_k*w^k,
 
         prev(u)*prev(v) = sum_k g_k^2*e^k + 2*sum_{k<l} g_k*g_l*e^k*P_{l-k}:
 
@@ -127,12 +127,13 @@ def _norm_form_step(prev: SparsePoly, n: int) -> SparsePoly:
             (pack_exponents(exps[:last], bits) << 2 * bits, coeff))
     xa, xb = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     c = xa * xb
-    d = (1 - xa * xa) * (1 - xb * xb)
     e = xa * xa + xb * xb - 1
+    top = max(groups, default=0)
     one = SparsePoly.one(2)
-    p_j, q_j, e_pow = [one], SparsePoly.zero(2), [one]
-    for _ in range(max(groups, default=0)):
-        p_j, q_j = p_j + [c * p_j[-1] - d * q_j], c * q_j - p_j[-1]
+    p_j, e_pow = [one, c], [one]
+    for j in range(1, top):
+        p_j.append(2 * c * p_j[j] - e * p_j[j - 1])
+    for _ in range(top):
         e_pow.append(e_pow[-1] * e)
     acc: dict[int, Coeff] = {}
     for k, gk in groups.items():
@@ -181,13 +182,13 @@ def flower_value(xs: Sequence[Coeff]) -> Fraction:
 
     With x_i = p_i/q_i, Q = q_1...q_{n-1} and C = Q*cos(t_1+...+t_{n-1})
     (``point_cos_sin``), f = p_n*Q - q_n*C is Q*q_n*(x_n - cos) as a point
-    element.  f <- f * g(f) for the generators g = 0..n-3 multiplies its
-    2^(n-2) sign conjugates, which leaves one sine-free term, and
-    P_n(xs) = f / (Q*q_n)^(2^(n-2)) is the one division.  That denominator
-    about doubles in digits with each petal, so n stops at ``MAX_N`` like
-    ``flower_poly``.  Each step is the norm step ``point_norm``: a term g
-    negates never multiplies one g fixes, because the two such products in
-    f * g(f) cancel.
+    element.  f <- f * g(f) for the generators g = 0..n-3, generator g
+    negating sine g, multiplies its 2^(n-2) sign conjugates, which leaves
+    one sine-free term, and P_n(xs) = f / (Q*q_n)^(2^(n-2)) is the one
+    division.  That denominator about doubles in digits with each petal,
+    so n stops at ``MAX_N`` like ``flower_poly``.  Each step is the norm
+    step ``point_norm``: a term g negates never multiplies one g fixes,
+    because the two such products in f * g(f) cancel.
     """
     n = len(xs)
     if n < 2:
@@ -206,7 +207,7 @@ def flower_value(xs: Sequence[Coeff]) -> Fraction:
 def flower_poly_from_product(n: int) -> SparsePoly:
     """The flower polynomial as the product of (x_n - sigma(cos expansion))
     over all sign masks acting on the first n-1 variables: the block
-    product over the blocks (n-1, 1).
+    product over the blocks (n-1, 1), with one generator per sine 0..n-3.
 
     Independent of the recursion route, and bounded like it by ``MAX_N``:
     the norm tower ``sign_norm`` never builds the 2^(n-2) factors one by
@@ -237,20 +238,20 @@ def block_product(n: int, composition: Sequence[int]) -> SparsePoly:
     sigma_j ranges over the sign subgroup inside block j.  For k <= 2, P_k
     is a base case, not the recursion.
 
-    Built as a norm tower.  Generator g negates a term with an odd number
-    of sines among slots 0..g; c_j has an even number, all inside block j,
-    so generators outside block j fix it and each factor is sigma(f) with
-    f = P_k(c_1, ..., c_k).  The generators are commuting involutions, so
-    f <- f * g(f) once for each generator g inside the blocks multiplies
-    sigma(f) over the whole group.  The whole tower is one ``sign_norm``
-    call: with f = A + B, B the terms g negates, a term a of A and a term b
-    of B meet in f * g(f) once as a*(-b) and once as b*a, so those pairs
-    cancel and each step is A^2 - B^2.  It runs on packed keys from the
-    first step to the last, at one width fixed up front: a step at most
-    doubles, per slot, the x exponent plus sine bit, so with D the largest
-    of these in f = P_k(c_1, ..., c_k) (1 for the closure product, 2 for
-    the blocks (2, 2, 2)), D * 2^(number of generators) bounds every
-    exponent; at n = 6 that is 16, P_6's degree, in 5 bits a slot.
+    Built as a norm tower, with one generator for each sine of a block but
+    its last.  Generator g negates sine g, and only block j's cosine holds
+    it, so each factor is sigma(f) with f = P_k(c_1, ..., c_k).  The
+    generators are commuting involutions, so f <- f * g(f) once for each
+    of them multiplies sigma(f) over the whole group.  The whole tower is
+    one ``sign_norm`` call: with f = A + B, B the terms g negates, a term a
+    of A and a term b of B meet in f * g(f) once as a*(-b) and once as b*a,
+    so those pairs cancel and each step is A^2 - B^2.  It runs on packed
+    keys from the first step to the last, at one width fixed up front: a
+    step at most doubles, per slot, the x exponent plus sine bit, so with D
+    the largest of these in f = P_k(c_1, ..., c_k) (1 for the closure
+    product, 2 for the blocks (2, 2, 2)), D * 2^(number of generators)
+    bounds every exponent; at n = 6 that is 16, P_6's degree, in 5 bits a
+    slot.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")

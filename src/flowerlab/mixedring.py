@@ -8,18 +8,16 @@ variables present.
 This ring is the independent oracle for the flower polynomial: the
 definitional product routes in ``flowerpoly`` multiply sign conjugates of
 angle-sum expansions here, as a norm tower with one norm step f * g(f)
-per sign generator g, while ``flower_poly`` itself never leaves plain
-polynomial arithmetic.  The module provides
+per sign generator g, the mask that negates one sine, while
+``flower_poly`` itself never leaves plain polynomial arithmetic.  The
+module provides
 
 * ``cos_sin_over_slots``: the expansions of cos and sin of an angle sum,
   built by the two-term angle-addition recursion;
 * ``apply_sign``: the group Z_2^(n-1) of ring automorphisms that fix all
-  x_i and flip the signs of adjacent products y_i*y_{i+1}.  An element is
-  an int whose bit i switches on generator i (0-based); composition is
-  xor and the group is ``range(1 << (n - 1))``.  Generator i negates a term
-  exactly when the term contains an odd number of y's among slots 0..i,
-  i.e. when the term "crosses" boundary i; ``_sign_flips`` turns a group
-  element into the one parity mask both ring forms test terms against;
+  x_i and negate sines.  An element is the int mask of the sines it negates,
+  slots 0..n-2; composition is xor and the group is ``range(1 << (n - 1))``.
+  It negates a term exactly when the term holds an odd number of those sines;
 * ``poly_at_mixed``: a pure polynomial evaluated at ring elements;
 * the ring at a rational point x_i = p_i/q_i, where y_i = s_i/q_i and
   s_i^2 = q_i^2 - p_i^2 is an int: a point element is a dict from sine
@@ -32,15 +30,15 @@ Multiplication keeps no kernel of its own: each operand's terms are grouped
 by y mask, the blocks are multiplied on packed x exponents with
 ``ratpoly``'s kernel, the products that share sines are multiplied by
 their y_i^2 = 1 - x_i^2 factor once per group, and the result is unpacked
-in one batched pass.  The norm towers, ``sign_norm(gens, f)``, take
-f <- f * apply_sign(g, f) for each sign mask g of ``gens`` and run the same
+in one batched pass.  The norm towers, ``sign_norm(masks, f)``, take
+f <- f * apply_sign(g, f) for each sign mask g of ``masks`` and run the same
 reduction on fewer block products: with f = A + B, B the terms g negates,
 a step is A^2 - B^2, since a term of A and a term of B meet twice with
 opposite signs and cancel.  Each side is squared, every pair of its terms
 multiplied once, and no pair across the sides is multiplied at all.  The
 tower stays packed from its first step to its last, at one pack width
 fixed up front: the largest x exponent plus sine bit in a slot of f, times
-2^len(gens), bounds every exponent it forms.
+2^len(masks), bounds every exponent it forms.
 
 Like the pure polynomials, elements are immutable and all operations pure.
 """
@@ -209,39 +207,27 @@ def _unpack_accs(nvars: int, bits: int, accs: _Accs) -> MixedElement:
 # -- sign automorphisms --------------------------------------------------------
 
 
-def _sign_flips(gens: int, nvars: int) -> int:
-    """The y slots whose sines the sign automorphism ``gens`` counts.
-
-    A term is negated once per switched-on generator i whose prefix 0..i
-    holds an odd number of its y's, so in all exactly when its y-support
-    meets the returned mask in an odd number of slots: bit j is the parity
-    of the generators i >= j.  Zero exactly when ``gens`` is.
-    """
-    if type(gens) is not int or gens < 0 or gens >> (nvars - 1):
-        raise ValueError(f"sign mask {gens!r} out of range for {nvars} variables")
-    flips = 0
-    for j in range(nvars - 1):
-        if (gens >> j).bit_count() & 1:
-            flips |= 1 << j
-    return flips
+def _check_sign(mask: int, nvars: int) -> int:
+    """``mask``, if it is a sign automorphism over ``nvars`` slots."""
+    if type(mask) is not int or mask < 0 or mask >> (nvars - 1):
+        raise ValueError(f"sign mask {mask!r} out of range for {nvars} variables")
+    return mask
 
 
-def apply_sign(gens: int, element: MixedElement) -> MixedElement:
-    """Apply the sign automorphism whose generators are the set bits of
-    ``gens``: negate the terms whose y-support meets ``_sign_flips`` oddly.
-    Pure-x terms are always fixed."""
+def apply_sign(mask: int, element: MixedElement) -> MixedElement:
+    """Apply the sign automorphism that negates the sines in ``mask``: negate
+    the terms whose y-support meets it oddly.  Pure-x terms are always fixed."""
     n = element.nvars
-    flips = _sign_flips(gens, n)
-    if not flips:
+    if not _check_sign(mask, n):
         return element
     return MixedElement._raw(n, {
-        key: -c if (key[1] & flips).bit_count() & 1 else c for key, c in element.items()
+        key: -c if (key[1] & mask).bit_count() & 1 else c for key, c in element.items()
     })
 
 
-def sign_norm(gens: Sequence[int], element: MixedElement) -> MixedElement:
+def sign_norm(masks: Sequence[int], element: MixedElement) -> MixedElement:
     """The norm tower: f <- f * apply_sign(g, f) for each sign mask g of
-    ``gens`` in turn, from f = ``element``, on packed keys throughout.
+    ``masks`` in turn, from f = ``element``, on packed keys throughout.
 
     The element is packed once into y-mask blocks, every step maps packed
     accumulators to packed accumulators, and the result is unpacked once.
@@ -255,28 +241,27 @@ def sign_norm(gens: Sequence[int], element: MixedElement) -> MixedElement:
     The pack width is fixed up front.  In each slot, a product of two terms
     has x exponent plus sine bit at most the sum of its factors' (a shared
     sine becomes the x_i^2 of 1 - x_i^2), so a step at most doubles the
-    largest such degree D over the terms of f, and D * 2^len(gens) bounds
+    largest such degree D over the terms of f, and D * 2^len(masks) bounds
     every exponent the tower forms.
     """
     nvars = element.nvars
-    all_flips = [_sign_flips(g, nvars) for g in gens]
+    masks = [_check_sign(g, nvars) for g in masks]
     top = max((e[i] + (ybits >> i & 1) for e, ybits in element._terms for i in range(nvars)),
               default=0)
-    bits = pack_width(top << len(all_flips))
+    bits = pack_width(top << len(masks))
     accs = {mask: dict(block) for mask, block in element._blocks(bits).items()}
-    for flips in all_flips:
-        accs = _norm_step(nvars, bits, flips, accs)
+    for g in masks:
+        accs = _norm_step(nvars, bits, g, accs)
     return _unpack_accs(nvars, bits, accs)
 
 
-def _norm_step(nvars: int, bits: int, flips: int, accs: _Accs) -> _Accs:
-    """One step of ``sign_norm`` on packed accumulators, for the sign
-    automorphism whose ``_sign_flips`` mask is ``flips``."""
+def _norm_step(nvars: int, bits: int, g: int, accs: _Accs) -> _Accs:
+    """One step of ``sign_norm`` on packed accumulators, for the sign mask g."""
     sides: tuple[list, list] = ([], [])
     for mask, acc in accs.items():
         block = [(k, c) for k, c in acc.items() if c]
         if block:
-            sides[(mask & flips).bit_count() & 1].append((mask, block))
+            sides[(mask & g).bit_count() & 1].append((mask, block))
     # A block squares to y mask 0 times its own sine squares, which go on
     # at once; a product of two different blocks keeps a sine.
     unmixed: dict[int, Coeff] = {}
@@ -330,25 +315,13 @@ def poly_at_mixed(poly: SparsePoly, args: Sequence[MixedElement]) -> MixedElemen
     for a in args:
         if a.nvars != nvars:
             raise ValueError("mixed arguments must share one ambient ring")
-    # The caches start at the arguments and a term's coefficient is
-    # applied last, so no product by one or by a scalar element is taken.
-    powers: list[dict[int, MixedElement]] = [{1: a} for a in args]
-
-    def power(i: int, k: int) -> MixedElement:
-        cache = powers[i]
-        p = cache.get(k)
-        if p is None:
-            p = power(i, k - 1) * args[i]
-            cache[k] = p
-        return p
-
     total = MixedElement.zero(nvars)
     for exps, coeff in poly.items():
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                term = power(i, e) if term is None else term * power(i, e)
-        total = total + (MixedElement.const(nvars, coeff) if term is None else term * coeff)
+        term = MixedElement.const(nvars, coeff)
+        for a, e in zip(args, exps):
+            for _ in range(e):
+                term = term * a
+        total = total + term
     return total
 
 
@@ -391,16 +364,16 @@ def point_cos_sin(points: Sequence[Fraction]) -> tuple[dict[int, int], dict[int,
     return cos, sin
 
 
-def point_norm(gens: int, nvars: int, element: dict[int, int],
+def point_norm(mask: int, nvars: int, element: dict[int, int],
                squares: Sequence[int]) -> dict[int, int]:
-    """``element`` times its image under the sign automorphism ``gens`` over
+    """``element`` times its image under the sign mask ``mask`` over
     ``nvars`` slots, as a step of ``sign_norm``: A^2 - B^2 with B the terms
-    ``gens`` negates.  Terms with masks ma and mb multiply to mask ma ^ mb times
+    ``mask`` negates.  Terms with masks ma and mb multiply to mask ma ^ mb times
     ``squares[ma & mb]`` (``point_squares``)."""
-    flips = _sign_flips(gens, nvars)
+    _check_sign(mask, nvars)
     sides: tuple[list, list] = ([], [])
     for m, c in element.items():
-        sides[(m & flips).bit_count() & 1].append((m, c))
+        sides[(m & mask).bit_count() & 1].append((m, c))
     out: dict[int, int] = {}
     get = out.get
     for sign, side in zip((1, -1), sides):

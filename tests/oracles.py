@@ -10,7 +10,7 @@ from mpmath import mp
 
 from flowerlab.flowerpoly import flower_poly
 from flowerlab.geometry import ANGLE_SUM_TOL, DPS, FlowerConfig
-from flowerlab.mixedring import MixedElement, _sign_flips
+from flowerlab.mixedring import MixedElement
 from flowerlab.ratpoly import (
     Coeff,
     SparsePoly,
@@ -95,10 +95,12 @@ def point_mul(a: dict[int, int], b: dict[int, int], squares: Sequence[int]) -> d
     return {m: c for m, c in out.items() if c}
 
 
-def point_sign(gens: int, nvars: int, element: dict[int, int]) -> dict[int, int]:
-    """``mixedring.apply_sign`` on a point element over ``nvars`` slots."""
-    flips = _sign_flips(gens, nvars)
-    return {m: -c if (m & flips).bit_count() & 1 else c for m, c in element.items()}
+def point_sign(mask: int, nvars: int, element: dict[int, int]) -> dict[int, int]:
+    """``mixedring.apply_sign`` on a point element over ``nvars`` slots: the
+    terms with an odd number of the sines in ``mask`` are negated."""
+    if type(mask) is not int or not 0 <= mask < 1 << (nvars - 1):
+        raise ValueError(f"sign mask {mask!r} out of range for {nvars} variables")
+    return {m: -c if (m & mask).bit_count() & 1 else c for m, c in element.items()}
 
 
 def evaluate_by_fractions(poly: SparsePoly, point) -> Fraction:

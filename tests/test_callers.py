@@ -15,8 +15,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flowerlab"
 ALLOWED = {
     "SparsePoly.evaluate": "perfbench traces it",
     "clear_cache": "perfbench calls it before every benchmark job",
-    "descartes_check": "ROADMAP item 5",
-    "tangent_curvatures": "ROADMAP item 5",
+    "descartes_check": "ROADMAP item 11",
+    "tangent_curvatures": "ROADMAP item 11",
 }
 
 

@@ -3,6 +3,7 @@
 import enum
 import math
 import random
+from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
@@ -157,7 +158,7 @@ def test_six_petal_towers_at_the_widest_packing(composition):
 
 def mixed_ring_step(prev: SparsePoly, n: int) -> SparsePoly:
     """prev with its last variable replaced by w = cos(t_{n-1}+t_n), times its
-    conjugate under the sign generator on y_{n-1}*y_n, multiplied out in the
+    conjugate under the sign mask that negates y_{n-1}, multiplied out in the
     mixed ring (the recursion step before the norm form)."""
     last = prev.nvars - 1
     w = cos_sin_over_slots(n, (n - 2, n - 1))[0]
@@ -182,6 +183,21 @@ def test_norm_form_matches_mixed_ring_step():
     for n in range(3, 7):
         ref = mixed_ring_step(ref, n)
         assert ref == flower_poly(n)
+
+
+def test_norm_step_factors_are_half_the_power_sums():
+    # At prev = w^j the step is e^j, and at prev = 1 + w^j it is
+    # 1 + e^j + 2*P_j: so P_j, from the recursion, is read off the two and
+    # compared with (u^j + v^j)/2 for u, v = x1*x2 -+ y1*y2 in the mixed ring.
+    u = cos_sin_over_slots(2, (0, 1))[0]
+    v = apply_sign(0b1, u)
+    step = flowerpoly._norm_form_step
+    u_j = v_j = MixedElement.one(2)
+    for j in range(1, 9):
+        u_j, v_j = u_j * u, v_j * v
+        power = SparsePoly(1, {(j,): 1})
+        p_j = (step(power + 1, 2) - step(power, 2) - 1) * Fraction(1, 2)
+        assert p_j == ((u_j + v_j) * Fraction(1, 2)).to_poly()
 
 
 def squared_route_step(prev: SparsePoly, n: int) -> SparsePoly:

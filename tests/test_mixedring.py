@@ -95,17 +95,25 @@ def test_generator_flips_adjacent_pair():
 
 
 def test_sign_action_on_three_angle_expansion():
-    # The generator on the (2,3) pair fixes y1*y2 and flips the other two.
+    # Mask 0b10 negates y2, so the two terms that hold it flip:
+    # x1*y2*y3 and y1*y2*x3.
     n = 3
     ec3 = cos_sin_over_slots(3, range(3))[0]
     flipped = apply_sign(0b10, ec3)
     expect = (
         x(n, 0) * x(n, 1) * x(n, 2)
         + x(n, 0) * y(n, 1) * y(n, 2)
-        + y(n, 0) * x(n, 1) * y(n, 2)
-        - y(n, 0) * y(n, 1) * x(n, 2)
+        - y(n, 0) * x(n, 1) * y(n, 2)
+        + y(n, 0) * y(n, 1) * x(n, 2)
     )
     assert flipped == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_sign_mask_negates_exactly_its_sines(n):
+    for m in range(1 << (n - 1)):
+        for j in range(n):
+            assert apply_sign(m, y(n, j)) == (-y(n, j) if m >> j & 1 else y(n, j))
 
 
 def test_sign_mask_validation():
@@ -242,6 +250,26 @@ def test_sign_norm_is_the_fold_of_its_steps(case):
         step = sign_norm([g], step)
         fold = fold * apply_sign(g, fold)
     assert tower == step == fold
+
+
+def subgroups(n):
+    sines = st.sets(st.integers(0, n - 2), max_size=3)
+    return st.tuples(elements(n, max_size=4), sines)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5).flatmap(subgroups))
+def test_sign_norm_of_generators_is_the_product_over_their_subgroup(case):
+    # One step per sine s of S multiplies the images of f under all
+    # 2^|S| masks h inside S.
+    f, sines = case
+    subgroup = [0]
+    for s in sines:
+        subgroup += [h | 1 << s for h in subgroup]
+    product = MixedElement.one(f.nvars)
+    for h in subgroup:
+        product = product * apply_sign(h, f)
+    assert sign_norm([1 << s for s in sines], f) == product
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
